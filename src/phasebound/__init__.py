@@ -35,6 +35,7 @@ from .kernel import (
     build_kernel,
     cauchy_bound,
     eigensystem,
+    leading_eigenpair,
     least_upper_bound,
 )
 from .oracles import (
@@ -98,6 +99,7 @@ __all__ = [
     "conditional_probability",
     "eigensystem",
     "interval_probability",
+    "leading_eigenpair",
     "least_upper_bound",
     "normalize",
     "number_probability",

@@ -6,10 +6,19 @@ on the diagonal.  Its largest eigenvalue is the least upper bound on the
 probability of a successful phase measurement at precision ``dalpha`` after a
 number measurement at precision ``dk``; the top eigenvector is the state that
 attains it.
+
+Two solvers answer two questions.  ``eigensystem`` is the dense full-spectrum
+solve, O(dk^3).  ``leading_eigenpair`` returns the top (or second) pair in
+O(dk log dk) without forming the kernel: the kernel is the discrete prolate
+matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and it commutes with Slepian's
+tridiagonal matrix (Slepian 1978, "Prolate spheroidal wave functions, Fourier
+analysis, and uncertainty V: the discrete case", BSTJ 57), whose eigenvalues
+are well separated where the kernel's cluster near 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +141,134 @@ def eigensystem(kernel: ConcentrationKernel) -> SpectrumResult:
     return SpectrumResult(vals, vecs, diag)
 
 
+def _slepian_block(delta_alpha: float, size: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Slepian's T restricted to even or odd sequences.
+
+    T has diagonal ``((M-1-2n)/2)^2 cos(2*pi*W)`` and off-diagonal ``n(M-n)/2``.
+    It is centrosymmetric, so it maps sequences with ``v[M-1-n] = +-v[n]`` to
+    themselves; on them it acts as the tridiagonal block over the first half,
+    with the coupling across the middle folded into the block's last row.
+    """
+    half = size // 2 if odd else (size + 1) // 2
+    n = np.arange(half, dtype=float)
+    diag = (0.5 * (size - 1 - 2 * n)) ** 2 * math.cos(0.5 * delta_alpha)
+    off = 0.5 * n[1:] * (size - n[1:])
+    if size % 2 == 0:
+        diag[-1] += (-0.5 if odd else 0.5) * half * half
+    elif not odd and half > 1:
+        off[-1] *= math.sqrt(2.0)  # symmetric scaling of the middle entry
+    return diag, off
+
+
+def _pivots(diag: list, off_sq: list, shift: float, guard: float) -> list | None:
+    """LDL^T pivots of ``T - shift`` (its Sturm sequence), each ``<= -guard``.
+
+    Returns None at the first pivot ``>= guard``: ``T`` then has an eigenvalue
+    above ``shift``.  Pivots smaller in magnitude count as ``-guard``.
+    """
+    pivots, q = [], -1.0
+    for a, b2 in zip(diag, off_sq):
+        q = a - shift - b2 / q
+        if q > -guard:
+            if q >= guard:
+                return None
+            q = -guard
+        pivots.append(q)
+    return pivots
+
+
+def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Top eigenvector of a symmetric tridiagonal matrix.
+
+    Sturm bisection brackets the top eigenvalue to rounding; three steps of
+    inverse iteration at the bracket's upper end follow.  There ``T - shift``
+    is negative definite, so its LDL^T (Thomas) solve needs no pivoting.
+    """
+    d, e = diag.tolist(), [0.0] + off.tolist()
+    e2 = [b * b for b in e]
+    radius = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+    lo, hi = float(np.max(diag)), float(np.max(diag + radius))
+    guard = np.finfo(float).eps * max(abs(lo), abs(hi), 1.0)
+    while hi - lo > guard:
+        mid = 0.5 * (lo + hi)
+        if _pivots(d, e2, mid, guard) is None:
+            lo = mid
+        else:
+            hi = mid
+
+    piv = _pivots(d, e2, hi, guard)
+    lower = [0.0] + [b / p for b, p in zip(e[1:], piv)]  # unit L of LDL^T
+    upward = list(zip(reversed(e[1:] + [0.0]), reversed(piv)))
+    x = [1.0] * len(d)  # the top vector has one sign, so it overlaps this start
+    for _ in range(3):
+        z, zi = [], 0.0
+        for bi, li in zip(x, lower):  # solve L z = x
+            zi = bi - li * zi
+            z.append(zi)
+        x, xi = [], 0.0
+        for zi, (ui, pi) in zip(reversed(z), upward):  # then D L^T x = z
+            xi = (zi - ui * xi) / pi
+            x.append(xi)
+        norm = math.sqrt(math.fsum(v * v for v in x))
+        x = [v / norm for v in reversed(x)]
+    return np.array(x)
+
+
+def _toeplitz_matvec(col: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of the symmetric Toeplitz matrix with first column ``col`` and
+    ``v``, through its circulant embedding of size ``2 * col.size``."""
+    n = col.size
+    circulant = np.fft.rfft(np.concatenate((col, [0.0], col[:0:-1])))
+    return np.fft.irfft(circulant * np.fft.rfft(v, 2 * n), 2 * n)[:n]
+
+
+def leading_eigenpair(
+    delta_alpha: float, delta_k: int, index: int = 0
+) -> tuple[float, np.ndarray]:
+    """Top (``index=0``) or second (``index=1``) eigenpair of the kernel.
+
+    The kernel is never formed.  Slepian's tridiagonal T commutes with it, so
+    the two share eigenvectors, in the same order.  T's eigenvectors
+    alternate between even and odd sequences, so the top pair is the top of
+    T's even block and the second pair the top of its odd block
+    (``_slepian_block``).  The eigenvalue is the Rayleigh quotient of the
+    unit vector on the kernel, through an FFT Toeplitz matvec.  Vectors
+    follow ``fix_signs``; the 1x1 kernel and the identity kernel
+    ``dalpha == 2*pi`` give the exact values of the dense solve.
+
+    Raises ConvergenceFailureError when the residual target
+    ``1e-12 * (dk+1)`` is missed.
+    """
+    check_domain(delta_alpha, delta_k)
+    if index not in (0, 1) or index > delta_k:
+        raise DomainError(f"no eigenpair {index} of a {delta_k + 1}-point kernel")
+    size = delta_k + 1
+    if size == 1 or delta_alpha == TWO_PI:
+        vector = np.zeros(size)
+        vector[index] = 1.0
+        return float(delta_alpha) / TWO_PI, vector
+
+    odd = index == 1
+    half = _top_eigenvector(*_slepian_block(delta_alpha, size, odd))
+    if size % 2 == 0:
+        vector = np.concatenate((half, -half[::-1] if odd else half[::-1]))
+    elif odd:
+        vector = np.concatenate((half, [0.0], -half[::-1]))
+    else:  # undo the block's symmetric scaling of the middle entry
+        half[-1] *= math.sqrt(2.0)
+        vector = np.concatenate((half, half[-2::-1]))
+    vector = fix_signs((vector / np.linalg.norm(vector))[:, None])[:, 0]
+
+    image = _toeplitz_matvec(kernel_column(delta_alpha, size), vector)
+    value = float(vector @ image)
+    residual = float(np.linalg.norm(image - value * vector))
+    if residual > 1e-12 * size:
+        raise ConvergenceFailureError(
+            f"eigenpair {index} residual {residual:.3e} exceeds {1e-12 * size:.3e}"
+        )
+    return value, vector
+
+
 def least_upper_bound(delta_alpha: float, delta_k: int) -> tuple[float, FockState]:
     """Largest eigenvalue of the kernel and the state attaining it.
 
@@ -143,9 +280,8 @@ def least_upper_bound(delta_alpha: float, delta_k: int) -> tuple[float, FockStat
         vacuum = np.zeros(delta_k + 1, dtype=np.complex128)
         vacuum[0] = 1.0
         return 0.0, FockState(vacuum, offset=0)
-    spectrum = eigensystem(build_kernel(delta_alpha, delta_k))
-    top = spectrum.eigenvectors[:, 0].astype(np.complex128)
-    return float(spectrum.eigenvalues[0]), FockState(top, offset=0)
+    value, top = leading_eigenpair(delta_alpha, delta_k)
+    return value, FockState(top.astype(np.complex128), offset=0)
 
 
 def cauchy_bound(delta_alpha: float, delta_k: int) -> float:

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import phasebound
 from phasebound.cli import main, parse_dk_list, thread_cap
 from conftest import TWO_PI
 
@@ -57,6 +62,14 @@ class TestBound:
     def test_verify_identity_skips_power_comparison(self, capsys):
         assert main(["bound", "--dalpha", TWO_PI_TEXT, "--dk", "2", "--verify"]) == 0
         assert "verify_power_note" in kv_output(capsys)
+
+    def test_verify_small_gap_skips_power_iteration(self, capsys):
+        # xi = 8: the top gap is about 1e-8, far too small for power iteration
+        argv = ["bound", "--dalpha", "0.2500770271514263", "--dk", "200", "--verify"]
+        assert main(argv) == 0
+        out = kv_output(capsys)
+        assert out["verify_power_note"] == "comparison skipped: gap-degenerate or slow"
+        assert "verify_power_iterations" not in out
 
     def test_degrees(self, capsys):
         assert main(["bound", "--dalpha", "180", "--dk", "1", "--degrees"]) == 0
@@ -328,3 +341,10 @@ class TestSpectrum:
     def test_half_specified_discrete_rejected(self, tmp_path, capsys):
         argv = ["spectrum", "--dalpha", "1", "--output", str(tmp_path / "s.csv")]
         assert main(argv) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(phasebound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import phasebound.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

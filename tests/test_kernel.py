@@ -1,5 +1,7 @@
 """Concentration kernel construction and spectrum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from phasebound import (
     cauchy_bound,
     conditional_probability,
     eigensystem,
+    leading_eigenpair,
     least_upper_bound,
     power_iteration,
     random_state_search,
@@ -115,6 +118,80 @@ class TestLeastUpperBound:
         lam, state = least_upper_bound(0.0, 5)
         assert lam == 0.0
         assert np.allclose(state.amplitudes, np.eye(6)[0])
+
+
+class TestLeadingEigenpair:
+    """The tridiagonal route against the dense oracle and scipy's dpss."""
+
+    @pytest.mark.parametrize("dalpha", DALPHA_GRID + (np.pi,))
+    def test_matches_dense_eigensystem(self, dalpha):
+        # dalpha == pi gives cos(2*pi*W) == 0: Slepian's T has a zero diagonal
+        for dk in DK_GRID:
+            kernel = build_kernel(dalpha, dk)
+            dense, g = eigensystem(kernel), kernel.entries
+            for index in range(min(2, dk + 1)):
+                value, vector = leading_eigenpair(dalpha, dk, index)
+                assert abs(value - dense.eigenvalues[index]) <= 1e-14
+                assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
+                assert np.linalg.norm(g @ vector - value * vector) <= 1e-13
+            value, vector = leading_eigenpair(dalpha, dk)
+            # eigh's vector is accurate to about eps / top_gap, so compare
+            # only where that is well below the tolerance
+            if dense.diagnostics.top_gap > 1e-9:
+                assert abs(1.0 - vector @ dense.eigenvectors[:, 0]) <= 1e-12
+
+    def test_top_vector_has_one_sign(self):
+        for dalpha, dk in ((0.5, 40), (3.0, 41), (6.2, 16)):
+            assert np.all(leading_eigenpair(dalpha, dk)[1] > 0.0)
+
+    def test_second_vector_is_odd(self):
+        for dk in (15, 16):
+            vector = leading_eigenpair(2.0, dk, 1)[1]
+            assert np.array_equal(vector, -vector[::-1])
+
+    def test_single_support(self):
+        value, vector = leading_eigenpair(1.3, 0)
+        assert value == 1.3 / TWO_PI
+        assert np.array_equal(vector, [1.0])
+
+    def test_zero_width(self):
+        assert leading_eigenpair(0.0, 7)[0] == 0.0
+
+    def test_identity_kernel_is_exact(self):
+        for index in (0, 1):
+            value, vector = leading_eigenpair(TWO_PI, 5, index)
+            assert value == 1.0
+            assert np.array_equal(vector, np.eye(6)[index])
+
+    @pytest.mark.parametrize("dk,index", [(0, 1), (3, 2), (3, -1)])
+    def test_missing_pair(self, dk, index):
+        with pytest.raises(DomainError):
+            leading_eigenpair(1.0, dk, index)
+
+    def test_large_dk(self):
+        # far past the dense path: (dk+1)^2 doubles would take 3.2 GB
+        lam, state = least_upper_bound(TWO_PI * 8.0 / 20001, 20000)
+        assert abs(lam - 0.9999999997053922) <= 1e-13  # scipy's dpss ratio
+        assert abs(state.norm_squared - 1.0) < 1e-14
+
+    def test_builds_no_square_matrix(self):
+        dk = 4000  # a dense kernel would need 128 MB
+        tracemalloc.start()
+        try:
+            least_upper_bound(TWO_PI * 3.0 / (dk + 1), dk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("dk", [1000, 20000])
+    def test_scipy_dpss(self, dk):
+        windows = pytest.importorskip("scipy.signal.windows")
+        for xi in (0.5, 3.0, 8.0):
+            value, vector = leading_eigenpair(TWO_PI * xi / (dk + 1), dk)
+            taper, ratio = windows.dpss(dk + 1, xi / 2.0, Kmax=1, return_ratios=True)
+            assert abs(value - ratio[0]) <= 1e-13
+            assert abs(1.0 - abs(vector @ taper[0]) / np.linalg.norm(taper[0])) <= 1e-12
 
 
 class TestCauchyBound:
