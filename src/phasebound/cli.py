@@ -255,7 +255,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if gap <= 1e-6:
         _print_kv("verify_power_note", _POWER_SKIP_NOTE)
         return EXIT_OK
-    result = power_iteration(build_kernel(dalpha, args.dk))
+    result = power_iteration(dalpha, args.dk)
     _print_kv("verify_power_lambda0", _fmt(result.value))
     _print_kv("verify_power_residual", _fmt(result.residual))
     _print_kv("verify_power_iterations", result.iterations)

@@ -14,11 +14,19 @@ matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and it commutes with Slepian's
 tridiagonal matrix (Slepian 1978, "Prolate spheroidal wave functions, Fourier
 analysis, and uncertainty V: the discrete case", BSTJ 57), whose eigenvalues
 are well separated where the kernel's cluster near 1.
+
+Where only products with the kernel are needed, ``toeplitz_operator`` takes
+them through an FFT of its circulant embedding, in O(dk log dk) time and
+O(dk) memory: the Rayleigh quotient in ``leading_eigenpair``, the
+power-iteration oracle and the window probability
+``povm.interval_probability``.  The dense ``build_kernel`` serves the full
+spectrum and the random-state oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +64,55 @@ def kernel_column(delta_alpha: float, size: int) -> np.ndarray:
 
 
 def toeplitz_from_column(col: np.ndarray) -> np.ndarray:
+    """Dense symmetric Toeplitz matrix with first column ``col``.
+
+    Row ``i`` is a window of ``col`` mirrored about its first entry, so the
+    only allocation besides the result is that ``2n-1`` sequence.
+    """
     n = col.size
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return col[idx]
+    mirrored = np.concatenate((col[:0:-1], col))
+    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+
+
+def _fft_length(target: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= target``: numpy's FFT has fast radices for
+    these factors and falls back to Bluestein's algorithm for large primes."""
+    best = 1 << (target - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:  # each 3^b 5^c below best, doubled up to the target
+            length = odd
+            while length < target:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        five *= 5
+    return best
+
+
+def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Matvec ``v -> G v`` for the symmetric Toeplitz ``G`` with first column
+    ``col``, never forming ``G``.
+
+    ``G`` is the leading block of a circulant of length ``L >= 2n-1`` (the
+    5-smooth ``_fft_length``), whose FFT is computed once here; each product
+    then costs one real FFT pair of length ``L``.  Complex vectors are
+    multiplied as their real and imaginary parts.
+    """
+    n = col.size
+    length = _fft_length(2 * n - 1)
+    circulant = np.zeros(length)
+    circulant[:n] = col
+    circulant[length - n + 1 :] = col[:0:-1]
+    spectrum = np.fft.rfft(circulant)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(v):
+            return matvec(v.real) + 1j * matvec(v.imag)
+        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[:n]
+
+    return matvec
 
 
 @dataclass(frozen=True)
@@ -214,14 +268,6 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.array(x)
 
 
-def _toeplitz_matvec(col: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of the symmetric Toeplitz matrix with first column ``col`` and
-    ``v``, through its circulant embedding of size ``2 * col.size``."""
-    n = col.size
-    circulant = np.fft.rfft(np.concatenate((col, [0.0], col[:0:-1])))
-    return np.fft.irfft(circulant * np.fft.rfft(v, 2 * n), 2 * n)[:n]
-
-
 def leading_eigenpair(
     delta_alpha: float, delta_k: int, index: int = 0
 ) -> tuple[float, np.ndarray]:
@@ -232,7 +278,7 @@ def leading_eigenpair(
     alternate between even and odd sequences, so the top pair is the top of
     T's even block and the second pair the top of its odd block
     (``_slepian_block``).  The eigenvalue is the Rayleigh quotient of the
-    unit vector on the kernel, through an FFT Toeplitz matvec.  Vectors
+    unit vector on the kernel, through ``toeplitz_operator``.  Vectors
     follow ``fix_signs``; the 1x1 kernel and the identity kernel
     ``dalpha == 2*pi`` give the exact values of the dense solve.
 
@@ -259,7 +305,7 @@ def leading_eigenpair(
         vector = np.concatenate((half, half[-2::-1]))
     vector = fix_signs((vector / np.linalg.norm(vector))[:, None])[:, 0]
 
-    image = _toeplitz_matvec(kernel_column(delta_alpha, size), vector)
+    image = toeplitz_operator(kernel_column(delta_alpha, size))(vector)
     value = float(vector @ image)
     residual = float(np.linalg.norm(image - value * vector))
     if residual > 1e-12 * size:

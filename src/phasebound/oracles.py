@@ -1,10 +1,17 @@
 """Independent brute-force checks for the closed-form machinery.
 
-Nothing here shares a method with the production paths: window probabilities
-are integrated with composite Simpson on a pointwise-evaluated density, the
-top eigenvalue is re-derived by power iteration, and the variational bound is
-probed with seeded random states.  Agreement between these and the closed
-forms is what the test suite leans on.
+Window probabilities are integrated with composite Simpson on a
+pointwise-evaluated density, the top eigenvalue is re-derived by power
+iteration, and the variational bound is probed with seeded random states on
+the dense kernel.  Agreement between these and the closed forms is what the
+test suite leans on.
+
+Power iteration multiplies by the kernel through ``kernel.toeplitz_operator``,
+the FFT product that ``leading_eigenpair`` and ``povm.interval_probability``
+also use, so the product itself is not re-derived here.  Its independence
+lies elsewhere: power iteration is a different eigen-algorithm from the Sturm
+bisection plus inverse iteration on Slepian's tridiagonal matrix that gives
+the bound, and the tests check the FFT product against the dense matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import ConcentrationKernel, build_kernel, check_domain
+from .kernel import build_kernel, check_domain, kernel_column, toeplitz_operator
 from .states import TWO_PI, FockState, PhaseWindow
 
 
@@ -70,28 +77,32 @@ class PowerIterationResult:
 
 
 def power_iteration(
-    kernel: ConcentrationKernel, cfg: OracleConfig = OracleConfig()
+    delta_alpha: float, delta_k: int, cfg: OracleConfig = OracleConfig()
 ) -> PowerIterationResult:
-    """Dominant eigenpair by repeated multiplication from a seeded start.
+    """Dominant eigenpair of the kernel by repeated multiplication from a
+    seeded start.
 
     Convergence means residual ``||G x - lambda x|| <= power_tolerance``.
     A multi-dimensional kernel that converges on the very first step can only
     have handed the random start an eigenvector, so the result is flagged
     ``gap_degenerate``; running out of iterations flags ``converged=False``.
     Neither condition raises: callers use the flags to skip comparisons.
+    ``dalpha == 0`` gives the zero kernel and raises DomainError.
     """
-    g = kernel.entries
-    if not np.any(g):
+    check_domain(delta_alpha, delta_k)
+    if delta_alpha == 0.0:
         raise DomainError("power iteration needs a nonzero kernel")
+    dim = delta_k + 1
+    apply = toeplitz_operator(kernel_column(float(delta_alpha), dim))
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(kernel.dim)
+    x = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
 
     lam = 0.0
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        y = g @ x
+        y = apply(x)
         lam = float(x @ y)
         residual = float(np.linalg.norm(y - lam * x))
         if residual <= cfg.power_tolerance:
@@ -101,11 +112,11 @@ def power_iteration(
                 iterations=iterations,
                 residual=residual,
                 converged=True,
-                gap_degenerate=(kernel.dim > 1 and iterations == 1),
+                gap_degenerate=(dim > 1 and iterations == 1),
             )
         ynorm = np.linalg.norm(y)
         if ynorm == 0.0:  # start landed in the kernel's null space
-            x = rng.standard_normal(kernel.dim)
+            x = rng.standard_normal(dim)
             x /= np.linalg.norm(x)
             continue
         x = y / ynorm

@@ -19,7 +19,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidMatrixError,
 )
-from .kernel import kernel_column, toeplitz_from_column
+from .kernel import kernel_column, toeplitz_operator
 from .states import FockState, NumberWindow, PhaseWindow
 
 _VALIDITY_TOL = 1e-12
@@ -185,15 +185,16 @@ def interval_probability(state: FockState, window: PhaseWindow) -> float:
     """Canonical probability of a phase outcome inside ``window``.
 
     Closed form: with chi_n = psi_n * exp(-i n alpha), the probability is the
-    concentration-kernel quadratic form chi^dagger G(dalpha) chi.  The state
-    must be normalized for the result to be a probability.
+    concentration-kernel quadratic form chi^dagger G(dalpha) chi, with the
+    product ``G chi`` taken by ``kernel.toeplitz_operator`` without forming
+    ``G``.  The state must be normalized for the result to be a probability.
     """
     if window.width == 0.0:
         return 0.0
     j = np.arange(state.size)
     chi = state.amplitudes * np.exp(-1j * window.center * j)
-    g = toeplitz_from_column(kernel_column(window.width, state.size))
-    p = float(np.vdot(chi, g @ chi).real)
+    apply = toeplitz_operator(kernel_column(window.width, state.size))
+    p = float(np.vdot(chi, apply(chi)).real)
     return _clamp_probability(p)
 
 

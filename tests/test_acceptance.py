@@ -54,7 +54,7 @@ def test_criterion_1_closed_form_anchors(capsys):
     # corroborate the 2x2 closed form with the power-iteration oracle
     err_power = 0.0
     for da in grid[5::6]:
-        res = power_iteration(build_kernel(da, 1))
+        res = power_iteration(da, 1)
         if res.converged and not res.gap_degenerate:
             err_power = max(err_power, abs(res.value - least_upper_bound(da, 1)[0]))
     elapsed = time.perf_counter() - start

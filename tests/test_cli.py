@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -70,6 +71,27 @@ class TestBound:
         out = kv_output(capsys)
         assert out["verify_power_note"] == "comparison skipped: gap-degenerate or slow"
         assert "verify_power_iterations" not in out
+
+    def test_verify_large_dk(self, capsys):
+        dk = 20000
+        dalpha = repr(TWO_PI * 2.5 / (dk + 1))
+        assert main(["bound", "--dalpha", dalpha, "--dk", str(dk), "--verify"]) == 0
+        out = kv_output(capsys)
+        assert out["verify_power_converged"] == "true"
+        assert float(out["verify_power_delta"]) <= 1e-9
+        assert float(out["verify_attainment_residual"]) <= 1e-10
+
+    def test_verify_builds_no_square_matrix(self, capsys):
+        dk = 4000  # a dense kernel would need 128 MB
+        argv = ["bound", "--dalpha", repr(TWO_PI * 2.5 / (dk + 1)), "--dk", str(dk), "--verify"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kv_output(capsys)["verify_power_converged"] == "true"
+        assert peak < 8 * 2**20
 
     def test_degrees(self, capsys):
         assert main(["bound", "--dalpha", "180", "--dk", "1", "--degrees"]) == 0

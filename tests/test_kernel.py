@@ -1,5 +1,6 @@
 """Concentration kernel construction and spectrum."""
 
+import bisect
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,12 @@ from phasebound import (
     least_upper_bound,
     power_iteration,
     random_state_search,
+)
+from phasebound.kernel import (
+    _fft_length,
+    kernel_column,
+    toeplitz_from_column,
+    toeplitz_operator,
 )
 from conftest import TWO_PI
 
@@ -64,6 +71,53 @@ class TestBuildKernel:
     def test_non_integer_dk(self):
         with pytest.raises(DomainError):
             build_kernel(1.0, 1.5)
+
+
+class TestToeplitzOperator:
+    @staticmethod
+    def gathered(col):
+        """Reference: gather the matrix through an index matrix."""
+        n = col.size
+        return col[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1200])
+    def test_dense_matches_gather(self, n):
+        col = kernel_column(1.3, n)
+        dense = toeplitz_from_column(col)
+        assert np.array_equal(dense, self.gathered(col))
+        assert dense.flags.c_contiguous
+
+    def test_dense_allocates_only_the_result(self):
+        col = kernel_column(1.3, 1200)
+        tracemalloc.start()
+        try:
+            dense = toeplitz_from_column(col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * dense.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1117, 1201])  # 2 * 1117: a large prime factor
+    def test_matches_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        for dalpha in (0.3, 2.5, 6.0):
+            col = kernel_column(dalpha, n)
+            dense, apply = toeplitz_from_column(col), toeplitz_operator(col)
+            v = rng.standard_normal(n)
+            w = v + 1j * rng.standard_normal(n)
+            for x in (v / np.linalg.norm(v), w / np.linalg.norm(w)):
+                image = apply(x)
+                assert image.dtype == x.dtype
+                assert np.max(np.abs(image - dense @ x)) <= 1e-14
+
+    def test_fft_length_is_the_next_smooth_number(self):
+        smooth = sorted(
+            2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)
+        )
+        for target in range(1, 5001):
+            length = _fft_length(target)
+            assert length == smooth[bisect.bisect_left(smooth, target)], target
+            assert length <= 1 << (target - 1).bit_length()
 
 
 class TestEigensystem:
@@ -273,7 +327,7 @@ class TestGridInvariants:
         for dalpha in (0.5, 2.0, 5.0):
             for dk in (1, 4, 9):
                 res = eigensystem(build_kernel(dalpha, dk))
-                pw = power_iteration(build_kernel(dalpha, dk))
+                pw = power_iteration(dalpha, dk)
                 if pw.converged and not pw.gap_degenerate and res.diagnostics.top_gap > 1e-6:
                     assert abs(pw.value - res.eigenvalues[0]) <= 1e-9
 

@@ -8,7 +8,6 @@ from phasebound import (
     FockState,
     OracleConfig,
     PhaseWindow,
-    build_kernel,
     cauchy_bound,
     interval_probability,
     least_upper_bound,
@@ -73,29 +72,29 @@ class TestQuadratureProbability:
 
 class TestPowerIteration:
     def test_single_support_one_step(self):
-        res = power_iteration(build_kernel(1.1, 0))
+        res = power_iteration(1.1, 0)
         assert res.iterations == 1
         assert res.converged and not res.gap_degenerate
         assert res.value == pytest.approx(1.1 / TWO_PI, abs=1e-15)
 
     def test_two_by_two(self):
-        res = power_iteration(build_kernel(np.pi, 1))
+        res = power_iteration(np.pi, 1)
         assert res.converged
         assert abs(res.value - (0.5 + 1.0 / np.pi)) < 1e-9
 
     def test_identity_is_gap_degenerate(self):
-        res = power_iteration(build_kernel(TWO_PI, 3))
+        res = power_iteration(TWO_PI, 3)
         assert res.gap_degenerate
         assert res.value == pytest.approx(1.0)
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(DomainError):
-            power_iteration(build_kernel(0.0, 2))
+            power_iteration(0.0, 2)
 
     def test_deterministic(self):
         cfg = OracleConfig(seed=5)
-        a = power_iteration(build_kernel(2.2, 6), cfg)
-        b = power_iteration(build_kernel(2.2, 6), cfg)
+        a = power_iteration(2.2, 6, cfg)
+        b = power_iteration(2.2, 6, cfg)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
 
