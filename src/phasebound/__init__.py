@@ -47,7 +47,6 @@ from .oracles import (
 )
 from .povm import (
     MatrixValidity,
-    PhaseDistribution,
     PhaseMatrix,
     conditional_probability,
     interval_probability,
@@ -84,7 +83,6 @@ __all__ = [
     "NumberWindow",
     "OracleConfig",
     "PhaseBoundError",
-    "PhaseDistribution",
     "PhaseMatrix",
     "PhaseWindow",
     "PowerIterationResult",

@@ -6,7 +6,10 @@ sinc kernel ``sin(pi*xi*(z-z')/2) / (pi*(z-z'))``; its eigenvalues depend
 only on the concentration parameter ``xi = dalpha*(dk+1)/(2*pi)``.  The
 operator is discretized here with a Gauss-Legendre Nystrom rule, which
 converges spectrally because the kernel is entire; doubling the node count
-supplies an a posteriori error estimate.
+supplies an a posteriori error estimate.  The symmetric nodes and the even
+kernel make the discretized matrix centrosymmetric, so it is solved through
+its even and odd half-blocks, as Slepian's tridiagonal matrix is in
+``kernel.leading_eigenpair``.
 """
 
 from __future__ import annotations
@@ -76,15 +79,43 @@ class AsymptoticSpectrum:
     error_estimates: np.ndarray
 
 
-def _nystrom_eigs(xi: float, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _nystrom_blocks(
+    xi: float, nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Even and odd half-blocks of the weighted Nystrom matrix, with the nodes
+    and weights of the Gauss-Legendre rule.
+
+    Gauss-Legendre nodes are symmetric (``z[n-1-i] = -z[i]``) and the kernel
+    depends on ``z - z'`` and is even, so ``a = sqrt(w_i) K(z_i, z_j) sqrt(w_j)``
+    is centrosymmetric.  Its eigenvectors are ``[u; +-Ju]/sqrt(2)``, where
+    ``J`` reverses order and ``u`` is an eigenvector of ``A + C`` (even) or
+    ``A - C`` (odd), ``A = a[:m, :m]``, ``C[i, j] = a[i, n-1-j]``,
+    ``m = n // 2``.  An odd node count puts the middle node ``z = 0`` in the
+    even block, as a last row and column scaled by ``sqrt(2)``.  Only the
+    first ``n - m`` kernel rows are evaluated.
+    """
     z, w = np.polynomial.legendre.leggauss(nodes)
-    k = _sinc_kernel(xi, z[:, None], z[None, :])
+    m = nodes // 2
     sw = np.sqrt(w)
-    a = sw[:, None] * k * sw[None, :]
-    a = 0.5 * (a + a.T)
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order], z, w
+    top = nodes - m
+    rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]
+    direct = rows[:m, :m]
+    mirror = rows[:m, ::-1][:, :m]
+    even = direct + mirror
+    odd = direct - mirror
+    if nodes % 2:
+        edge = np.sqrt(2.0) * rows[:m, m]
+        even = np.block([[even, edge[:, None]], [edge[None, :], rows[m, m]]])
+    even = 0.5 * (even + even.T)
+    odd = 0.5 * (odd + odd.T)
+    return even, odd, z, w
+
+
+def _nystrom_eigvals(xi: float, nodes: int) -> np.ndarray:
+    """Nystrom eigenvalues, descending, from the two parity blocks."""
+    even, odd, _, _ = _nystrom_blocks(xi, nodes)
+    vals = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
+    return vals[np.argsort(-vals, kind="stable")]
 
 
 def nystrom_spectrum(
@@ -93,22 +124,44 @@ def nystrom_spectrum(
     """Solve the discretized eigenproblem at the problem's resolution.
 
     The symmetrized matrix ``sqrt(w_i) K(z_i, z_j) sqrt(w_j)`` shares the
-    operator's spectrum up to quadrature error; eigenfunction samples are
-    recovered as ``v_i / sqrt(w_i)``.  With ``estimate_errors`` a companion
-    solve at half the nodes provides per-eigenvalue error estimates.
+    operator's spectrum up to quadrature error.  It is solved through its
+    even and odd half-blocks (see ``_nystrom_blocks``), so every eigenvector
+    is exactly even or odd about ``z = 0``; eigenfunction samples are
+    recovered as ``v_i / sqrt(w_i)``.  Signs follow ``fix_signs``: the first
+    largest-magnitude sample is positive, which for an odd eigenfunction,
+    whose mirrored extremes tie exactly, is the one at ``z < 0``.  With
+    ``estimate_errors`` a companion solve at half the nodes provides
+    per-eigenvalue error estimates.
     """
-    vals, vecs, z, w = _nystrom_eigs(problem.xi, problem.nodes)
-    samples = fix_signs(vecs) / np.sqrt(w)[:, None]
+    n = problem.nodes
+    m = n // 2
+    even, odd, z, w = _nystrom_blocks(problem.xi, n)
+    even_vals, even_vecs = np.linalg.eigh(even)
+    odd_vals, odd_vecs = np.linalg.eigh(odd)
+    ne = even_vals.size
+    vecs = np.zeros((n, n))
+    inv_root2 = np.sqrt(0.5)
+    vecs[:m, :ne] = inv_root2 * even_vecs[:m]
+    vecs[n - m :, :ne] = inv_root2 * even_vecs[:m][::-1]
+    if n % 2:
+        vecs[m, :ne] = even_vecs[m]
+    vecs[:m, ne:] = inv_root2 * odd_vecs
+    vecs[n - m :, ne:] = -inv_root2 * odd_vecs[::-1]
 
-    errors = np.full(problem.nodes, np.nan)
-    if estimate_errors and problem.nodes >= 4:
-        half_vals, _, _, _ = _nystrom_eigs(problem.xi, problem.nodes // 2)
+    vals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    samples = fix_signs(vecs[:, order]) / np.sqrt(w)[:, None]
+
+    errors = np.full(n, np.nan)
+    if estimate_errors and n >= 4:
+        half_vals = _nystrom_eigvals(problem.xi, n // 2)
         shared = half_vals.size
         errors[:shared] = np.abs(vals[:shared] - half_vals)
 
     for arr in (vals, samples, z, w, errors):
         arr.flags.writeable = False
-    return AsymptoticSpectrum(vals, samples, z, w, problem.nodes, errors)
+    return AsymptoticSpectrum(vals, samples, z, w, n, errors)
 
 
 def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
@@ -128,7 +181,7 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
     diff = np.inf
     lam = 0.0
     while nodes <= _MAX_NODES:
-        lam = float(_nystrom_eigs(float(xi), nodes)[0][0])
+        lam = float(_nystrom_eigvals(float(xi), nodes)[0])
         if prev is not None:
             diff = abs(lam - prev)
             if diff < _REFINE_TOL:

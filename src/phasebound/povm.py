@@ -1,7 +1,9 @@
 """Covariant phase measurement: densities, window probabilities, reduction.
 
 The canonical measurement weights every number-basis coherence equally; its
-density for a pure state is ``|sum_n psi_n exp(-i n phi)|^2 / (2*pi)``.
+density for a pure state is ``|sum_n psi_n exp(-i n phi)|^2 / (2*pi)``, a
+polynomial in ``z = exp(-i phi)`` evaluated by Horner's rule in memory linear
+in the number of points.
 Interval probabilities are evaluated in closed form through the concentration
 kernel (the window integral of each Fourier mode has a sinc antiderivative),
 so no quadrature is involved outside the oracle module.
@@ -136,8 +138,11 @@ def phase_density(
 ) -> Union[float, np.ndarray]:
     """Density (per radian) of the covariant phase measurement at ``phi``.
 
-    ``matrix=None`` selects the canonical measurement.  A non-canonical matrix
-    must pass validation and cover the state's support.
+    ``matrix=None`` selects the canonical measurement, whose amplitude
+    ``sum_j psi_j z^j`` at ``z = exp(-i phi)`` is taken by Horner's rule: one
+    multiply-add per amplitude over the points, so memory is O(points) and no
+    exponential is taken per term.  A non-canonical matrix must pass
+    validation and cover the state's support.
     """
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     if phi_arr.ndim != 1:
@@ -146,10 +151,13 @@ def phase_density(
 
     if matrix is None or matrix.is_canonical:
         # offset contributes a global phase only
-        j = np.arange(state.size)
-        waves = np.exp(-1j * np.outer(phi_arr, j))
-        amp = waves @ state.amplitudes
-        dens = np.abs(amp) ** 2 / (2.0 * np.pi)
+        psi = state.amplitudes
+        z = np.exp(-1j * phi_arr)
+        amp = np.full(phi_arr.shape, psi[-1])
+        for coefficient in psi[-2::-1]:
+            amp *= z
+            amp += coefficient
+        dens = (amp.real**2 + amp.imag**2) / (2.0 * np.pi)
     else:
         report = validate_phase_matrix(matrix)
         if not report.ok:
@@ -168,17 +176,6 @@ def phase_density(
         )
 
     return float(dens[0]) if scalar else dens
-
-
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """On-demand phase density of a state under a given measurement."""
-
-    state: FockState
-    matrix: Optional[PhaseMatrix] = None
-
-    def density(self, phi: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        return phase_density(self.state, self.matrix, phi)
 
 
 def interval_probability(state: FockState, window: PhaseWindow) -> float:

@@ -113,6 +113,41 @@ class TestNystromSpectrum:
         assert abs(nys[3] - disc[3]) / disc[3] < 0.10
 
 
+def dense_weighted_matrix(problem, z, w):
+    """The full symmetrized Nystrom matrix sqrt(w_i) K(z_i, z_j) sqrt(w_j)."""
+    sw = np.sqrt(w)
+    a = sw[:, None] * problem.kernel(z[:, None], z[None, :]) * sw[None, :]
+    return 0.5 * (a + a.T)
+
+
+class TestParitySolve:
+    @pytest.mark.parametrize("nodes", [2, 3, 64, 65, 1025])
+    def test_matches_dense_solve(self, nodes):
+        for xi in (0.5, 3.0):
+            problem = AsymptoticProblem(xi, nodes)
+            spec = nystrom_spectrum(problem, estimate_errors=False)
+            a = dense_weighted_matrix(problem, spec.nodes, spec.weights)
+            dense = np.sort(np.linalg.eigvalsh(a))[::-1]
+            assert np.max(np.abs(spec.eigenvalues - dense)) < 1e-14
+            vecs = spec.eigenfunction_samples * np.sqrt(spec.weights)[:, None]
+            residual = np.linalg.norm(a @ vecs - vecs * spec.eigenvalues, axis=0)
+            assert residual.max() <= 1e-12 * nodes
+
+    @pytest.mark.parametrize("nodes", [2, 3, 64, 65])
+    def test_separated_eigenfunctions_have_parity(self, nodes):
+        spec = nystrom_spectrum(AsymptoticProblem(1.7, nodes))
+        vals = spec.eigenvalues
+        gaps = np.abs(np.diff(vals))
+        gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+        vecs = spec.eigenfunction_samples * np.sqrt(spec.weights)[:, None]
+        for nu in np.flatnonzero(gap > 1e-6):
+            v = vecs[:, nu]
+            even = np.max(np.abs(v - v[::-1]))
+            odd = np.max(np.abs(v + v[::-1]))
+            assert min(even, odd) <= 1e-13 * np.max(np.abs(v))
+            assert v[np.argmax(np.abs(v))] > 0.0
+
+
 class TestAsymptoticLeastUpperBound:
     def test_zero(self):
         assert asymptotic_least_upper_bound(0.0) == (0.0, 0.0)

@@ -350,6 +350,19 @@ class TestSpectrum:
         assert all(c[2] == "64" for c in rows)
         assert sum(float(c[1]) for c in rows) == pytest.approx(1.0, abs=1e-10)
 
+    def test_continuum_odd_node_count(self, tmp_path, capsys):
+        # an odd count puts the middle node z = 0 in the even parity block
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--xi", "1", "--nodes", "65", "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        assert [int(c[0]) for c in rows] == list(range(65))
+        assert all(c[2] == "65" for c in rows)
+        vals = np.array([float(c[1]) for c in rows])
+        assert np.all(np.diff(vals) <= 0.0)
+        assert vals.sum() == pytest.approx(1.0, abs=1e-10)
+        assert vals[0] == pytest.approx(0.7833687892100014, abs=1e-12)
+
     def test_both_forms_rejected(self, tmp_path, capsys):
         argv = [
             "spectrum", "--dalpha", "1", "--dk", "1", "--xi", "1",

@@ -1,5 +1,7 @@
 """Covariant phase measurement layer: densities, probabilities, reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from phasebound import (
     IncompatibleWindowError,
     InvalidMatrixError,
     NumberWindow,
-    PhaseDistribution,
     PhaseMatrix,
     PhaseWindow,
     conditional_probability,
@@ -29,6 +30,12 @@ TRIPLE = normalize(FockState([1.0, 1.0, 1.0]))
 
 # window integral of (1 + cos(phi))/(2*pi) over [-pi/2, pi/2], by hand
 EQUAL_PAIR_HALF_WINDOW = (np.pi + 2.0) / TWO_PI
+
+
+def explicit_density(state, phi):
+    """The canonical density as the explicit sum of exponentials."""
+    waves = np.exp(-1j * np.outer(np.atleast_1d(phi), np.arange(state.size)))
+    return np.abs(waves @ state.amplitudes) ** 2 / TWO_PI
 
 
 def circle_integral(f, points=4096):
@@ -109,10 +116,37 @@ class TestPhaseDensity:
         with pytest.raises(InvalidMatrixError):
             phase_density(s, PhaseMatrix.identity(3), 0.0)
 
+    @pytest.mark.parametrize("size,tol", [(1, 1e-13), (2, 1e-13), (501, 1e-13), (2000, 5e-13)])
+    def test_matches_explicit_sum(self, size, tol):
+        rng = np.random.default_rng(size)
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        state = normalize(FockState(amps, offset=3 * size + 1))
+        grid = -np.pi + TWO_PI * np.arange(4096) / 4096
+        peak = explicit_density(state, grid).max()
+        scattered = rng.uniform(-4.0, 4.0, 257)
+        for phi in (grid, scattered, np.array([-np.pi, np.pi])):
+            dens = phase_density(state, None, phi)
+            assert np.max(np.abs(dens - explicit_density(state, phi))) <= tol * peak
+        for phi in (0.7, -np.pi, np.pi):
+            value = phase_density(state, None, phi)
+            assert isinstance(value, float)
+            assert abs(value - explicit_density(state, phi)[0]) <= tol * peak
+
+    def test_memory_linear_in_points(self):
+        rng = np.random.default_rng(7)
+        state = normalize(FockState(rng.standard_normal(501) + 1j * rng.standard_normal(501)))
+        phi = -np.pi + TWO_PI * np.arange(16384) / 16384
+        tracemalloc.start()
+        try:
+            phase_density(state, None, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the points x amplitudes matrix would be 125 MiB
+
     def test_distribution_integrates_to_norm_squared(self):
         raw = FockState([1.0, 2.0j, -0.5])  # deliberately unnormalized
-        dist = PhaseDistribution(raw)
-        total = circle_integral(dist.density)
+        total = circle_integral(lambda phi: phase_density(raw, None, phi))
         assert total == pytest.approx(raw.norm_squared, abs=1e-10)
 
 
