@@ -6,10 +6,13 @@ sinc kernel ``sin(pi*xi*(z-z')/2) / (pi*(z-z'))``; its eigenvalues depend
 only on the concentration parameter ``xi = dalpha*(dk+1)/(2*pi)``.  The
 operator is discretized here with a Gauss-Legendre Nystrom rule, which
 converges spectrally because the kernel is entire; doubling the node count
-supplies an a posteriori error estimate.  The symmetric nodes and the even
-kernel make the discretized matrix centrosymmetric, so it is solved through
-its even and odd half-blocks, as Slepian's tridiagonal matrix is in
-``kernel.leading_eigenpair``.
+supplies an a posteriori error estimate.  The nodes come from Newton's
+method on the Legendre three-term recurrence, in O(n^2) time, rather than
+from a companion-matrix eigensolve.  The symmetric nodes and the even kernel
+make the discretized matrix centrosymmetric, so it is solved through its
+even and odd half-blocks (``kernel.parity_blocks``), as the dense kernel is
+in ``kernel.eigensystem``.  Where only eigenvalues are wanted,
+``nystrom_eigenvalues`` forms no eigenvectors.
 """
 
 from __future__ import annotations
@@ -19,13 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergenceError
-from .kernel import check_domain, fix_signs, least_upper_bound
+from .kernel import (
+    check_domain,
+    fix_signs,
+    least_upper_bound,
+    parity_blocks,
+    parity_vectors,
+)
 from .states import TWO_PI
 
 _REFINE_TOL = 1e-10
 _FAIL_TOL = 1e-8
 _START_NODES = 32
 _MAX_NODES = 4096
+_NEWTON_STEPS = 10
+_NEWTON_TOL = 1e-17  # node error left after the last Newton step
 
 
 def concentration_parameter(delta_alpha: float, delta_k: int) -> float:
@@ -79,6 +90,58 @@ class AsymptoticSpectrum:
     error_estimates: np.ndarray
 
 
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    Newton's method on ``P_n`` from Tricomi's guesses for the nonnegative
+    half, with ``P_n`` and ``P_n'`` from the three-term recurrence, vectorised
+    over the nodes: O(n^2) (Hale & Townsend 2013, SIAM J. Sci. Comput. 35).
+    Weights are ``2 / ((1 - x^2) P_n'(x)^2)``; both halves are mirrored, so
+    the nodes are exactly antisymmetric, with the middle node exactly 0 for
+    odd ``n``.  Legendre's equation gives ``P_n''/P_n' = 2x/(1-x^2)`` at a
+    root, so a Newton step ``s`` leaves an error of about
+    ``s^2 |x|/(1-x^2)``; iteration stops once that is below ``_NEWTON_TOL``
+    for every node, and raises NoConvergenceError if it is not after
+    ``_NEWTON_STEPS`` steps.
+    """
+    k = np.arange(1, (nodes + 1) // 2 + 1)
+    theta = np.pi * (4 * k - 1) / (4 * nodes + 2)
+    x = np.cos(theta) * (1 - (nodes - 1) / (8 * nodes**3))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(nodes, x)
+        step = p / dp
+        x -= step
+        if np.max(step * step * np.abs(x) / (1.0 - x * x)) <= _NEWTON_TOL:
+            break
+    else:
+        raise NoConvergenceError(f"Gauss-Legendre nodes for n={nodes} did not converge")
+    _, dp = _legendre(nodes, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    m = nodes // 2
+    if nodes % 2:
+        x[-1] = 0.0
+    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` and ``P_n'(x)`` by ``(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}``.
+
+    The integer coefficients are exact: a rounded ratio such as ``k/(k+1)``
+    would be the same for every node and bias all the weights one way (their
+    sum came out 6e-15 above 2 at n = 4096).
+    """
+    prev, cur = np.ones_like(x), x.copy()
+    xp = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, cur, out=xp)
+        xp *= 2 * k + 1
+        prev *= -k
+        prev += xp
+        prev /= k + 1
+        prev, cur = cur, prev
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
 def _nystrom_blocks(
     xi: float, nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -87,32 +150,20 @@ def _nystrom_blocks(
 
     Gauss-Legendre nodes are symmetric (``z[n-1-i] = -z[i]``) and the kernel
     depends on ``z - z'`` and is even, so ``a = sqrt(w_i) K(z_i, z_j) sqrt(w_j)``
-    is centrosymmetric.  Its eigenvectors are ``[u; +-Ju]/sqrt(2)``, where
-    ``J`` reverses order and ``u`` is an eigenvector of ``A + C`` (even) or
-    ``A - C`` (odd), ``A = a[:m, :m]``, ``C[i, j] = a[i, n-1-j]``,
-    ``m = n // 2``.  An odd node count puts the middle node ``z = 0`` in the
-    even block, as a last row and column scaled by ``sqrt(2)``.  Only the
-    first ``n - m`` kernel rows are evaluated.
+    is centrosymmetric and ``kernel.parity_blocks`` splits it.  Only the
+    first ``n - n//2`` kernel rows are evaluated.
     """
-    z, w = np.polynomial.legendre.leggauss(nodes)
-    m = nodes // 2
+    z, w = gauss_legendre(nodes)
     sw = np.sqrt(w)
-    top = nodes - m
+    top = nodes - nodes // 2
     rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]
-    direct = rows[:m, :m]
-    mirror = rows[:m, ::-1][:, :m]
-    even = direct + mirror
-    odd = direct - mirror
-    if nodes % 2:
-        edge = np.sqrt(2.0) * rows[:m, m]
-        even = np.block([[even, edge[:, None]], [edge[None, :], rows[m, m]]])
-    even = 0.5 * (even + even.T)
-    odd = 0.5 * (odd + odd.T)
+    even, odd = parity_blocks(rows)
     return even, odd, z, w
 
 
-def _nystrom_eigvals(xi: float, nodes: int) -> np.ndarray:
-    """Nystrom eigenvalues, descending, from the two parity blocks."""
+def nystrom_eigenvalues(xi: float, nodes: int) -> np.ndarray:
+    """Nystrom eigenvalues, descending, from ``eigvalsh`` on the two parity
+    blocks; no eigenvectors are formed."""
     even, odd, _, _ = _nystrom_blocks(xi, nodes)
     vals = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
     return vals[np.argsort(-vals, kind="stable")]
@@ -134,28 +185,18 @@ def nystrom_spectrum(
     per-eigenvalue error estimates.
     """
     n = problem.nodes
-    m = n // 2
     even, odd, z, w = _nystrom_blocks(problem.xi, n)
     even_vals, even_vecs = np.linalg.eigh(even)
     odd_vals, odd_vecs = np.linalg.eigh(odd)
-    ne = even_vals.size
-    vecs = np.zeros((n, n))
-    inv_root2 = np.sqrt(0.5)
-    vecs[:m, :ne] = inv_root2 * even_vecs[:m]
-    vecs[n - m :, :ne] = inv_root2 * even_vecs[:m][::-1]
-    if n % 2:
-        vecs[m, :ne] = even_vecs[m]
-    vecs[:m, ne:] = inv_root2 * odd_vecs
-    vecs[n - m :, ne:] = -inv_root2 * odd_vecs[::-1]
-
     vals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    samples = fix_signs(vecs[:, order]) / np.sqrt(w)[:, None]
+    vecs = parity_vectors(even_vecs, odd_vecs)[:, order]
+    samples = fix_signs(vecs) / np.sqrt(w)[:, None]
 
     errors = np.full(n, np.nan)
     if estimate_errors and n >= 4:
-        half_vals = _nystrom_eigvals(problem.xi, n // 2)
+        half_vals = nystrom_eigenvalues(problem.xi, n // 2)
         shared = half_vals.size
         errors[:shared] = np.abs(vals[:shared] - half_vals)
 
@@ -181,7 +222,7 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
     diff = np.inf
     lam = 0.0
     while nodes <= _MAX_NODES:
-        lam = float(_nystrom_eigvals(float(xi), nodes)[0])
+        lam = float(nystrom_eigenvalues(float(xi), nodes)[0])
         if prev is not None:
             diff = abs(lam - prev)
             if diff < _REFINE_TOL:

@@ -1,9 +1,9 @@
 """Command-line surface: bounds, curves, distributions and spectra.
 
 Files are written deterministically: identical invocations produce identical
-bytes, grid points are computed in parallel but assembled in a fixed order,
-and every float is printed with 17 significant digits so it re-parses to the
-same double.  CSV output is RFC-4180 with LF line endings.
+bytes, grid points are computed one after another in a fixed order, and every
+float is printed with 17 significant digits so it re-parses to the same
+double.  CSV output is RFC-4180 with LF line endings.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +20,7 @@ from .asymptotic import (
     AsymptoticProblem,
     asymptotic_least_upper_bound,
     concentration_parameter,
-    nystrom_spectrum,
+    nystrom_eigenvalues,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -65,21 +63,6 @@ def _cell(value) -> str:
     if isinstance(value, str):
         return value
     return _fmt(value)
-
-
-def thread_cap() -> int:
-    """Worker count for grid sweeps, capped by PHASEBOUND_THREADS."""
-    cap = os.cpu_count() or 1
-    raw = os.environ.get("PHASEBOUND_THREADS")
-    if raw:
-        try:
-            cap = min(cap, max(1, int(raw)))
-        except ValueError:
-            print(
-                f"warning: ignoring non-integer PHASEBOUND_THREADS={raw!r}",
-                file=sys.stderr,
-            )
-    return max(1, cap)
 
 
 def _dk_label(dk: float) -> str:
@@ -173,11 +156,8 @@ def _curve_point(dk: float, xi: float) -> dict:
 
 
 def compute_curve_rows(spec: CurveSpec) -> list[dict]:
-    """All grid rows in (dk, xi) lexicographic order; parallel but ordered."""
-    tasks = [(dk, xi) for dk in spec.dk_values for xi in spec.xi_grid()]
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(lambda t: _curve_point(*t), tasks))
-    return rows
+    """All grid rows in (dk, xi) lexicographic order."""
+    return [_curve_point(dk, xi) for dk in spec.dk_values for xi in spec.xi_grid()]
 
 
 def _curve_columns(spec: CurveSpec) -> tuple[str, ...]:
@@ -362,10 +342,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         if args.xi is None:
             raise DomainError("the continuum form needs --xi")
-        nodes = args.nodes if args.nodes is not None else 64
-        spectrum = nystrom_spectrum(AsymptoticProblem(args.xi, nodes))
+        problem = AsymptoticProblem(args.xi, args.nodes if args.nodes is not None else 64)
+        vals = nystrom_eigenvalues(problem.xi, problem.nodes)
         lines = ["index,eigenvalue,nodes"]
-        lines += [f"{i},{_fmt(v)},{nodes}" for i, v in enumerate(spectrum.eigenvalues)]
+        lines += [f"{i},{_fmt(v)},{problem.nodes}" for i, v in enumerate(vals)]
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
     return EXIT_OK
 

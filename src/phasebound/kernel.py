@@ -8,7 +8,11 @@ number measurement at precision ``dk``; the top eigenvector is the state that
 attains it.
 
 Two solvers answer two questions.  ``eigensystem`` is the dense full-spectrum
-solve, O(dk^3).  ``leading_eigenpair`` returns the top (or second) pair in
+solve, O(dk^3).  The kernel is centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``),
+so it maps even and odd sequences to themselves, and ``eigensystem`` solves
+its even and odd half-blocks (``parity_blocks``, ``parity_vectors``; the
+Nystrom matrix of ``asymptotic`` uses the same pair), two dense solves of
+half the size.  ``leading_eigenpair`` returns the top (or second) pair in
 O(dk log dk) without forming the kernel: the kernel is the discrete prolate
 matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and it commutes with Slepian's
 tridiagonal matrix (Slepian 1978, "Prolate spheroidal wave functions, Fourier
@@ -165,20 +169,76 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd half-blocks of a symmetric centrosymmetric matrix ``a``,
+    given its first ``n - n//2`` rows.
+
+    ``a[n-1-i, n-1-j] = a[i, j]``, so ``a`` maps sequences with
+    ``v[n-1-i] = +-v[i]`` to themselves.  On them it acts as ``A + C`` (even)
+    or ``A - C`` (odd), where ``A = a[:m, :m]``, ``C[i, j] = a[i, n-1-j]`` and
+    ``m = n // 2``.  An odd ``n`` puts the middle index in the even block, as
+    a last row and column scaled by ``sqrt(2)``.  The eigenvectors of ``a``
+    are those of the blocks mapped back by ``parity_vectors``.
+    """
+    n = rows.shape[1]
+    m = n // 2
+    direct = rows[:m, :m]
+    mirror = rows[:m, ::-1][:, :m]
+    even = direct + mirror
+    odd = direct - mirror
+    if n % 2:
+        edge = math.sqrt(2.0) * rows[:m, m]
+        even = np.block([[even, edge[:, None]], [edge[None, :], rows[m, m]]])
+    return 0.5 * (even + even.T), 0.5 * (odd + odd.T)
+
+
+def parity_vectors(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Columns ``[u; Ju]/sqrt(2)`` for the even block's eigenvectors ``u``,
+    then ``[u; -Ju]/sqrt(2)`` for the odd block's, where ``J`` reverses order.
+
+    For an odd length the even block's last entry is the middle one, kept
+    unscaled.  The map is orthogonal, so it keeps norms, residuals and
+    inner products.
+    """
+    m, ne = odd.shape[0], even.shape[1]
+    n = even.shape[0] + m
+    root_half = math.sqrt(0.5)
+    vecs = np.zeros((n, ne + odd.shape[1]))
+    vecs[:m, :ne] = root_half * even[:m]
+    vecs[n - m :, :ne] = root_half * even[:m][::-1]
+    if n % 2:
+        vecs[m, :ne] = even[m]
+    vecs[:m, ne:] = root_half * odd
+    vecs[n - m :, ne:] = -root_half * odd[::-1]
+    return vecs
+
+
 def eigensystem(kernel: ConcentrationKernel) -> SpectrumResult:
     """Full symmetric eigendecomposition, eigenvalues descending.
+
+    The kernel is solved through its even and odd half-blocks
+    (``parity_blocks``), so every eigenvector is exactly even or odd.  Signs
+    follow ``fix_signs``: for an odd vector, whose mirrored extremes tie
+    exactly, the one in the first half is made positive.  Residuals and the
+    orthogonality defect are taken on the blocks, where they equal those of
+    the full vectors.
 
     Raises ConvergenceFailureError when the residual target
     ``1e-12 * (dk+1)`` is missed.
     """
-    g = kernel.entries
-    vals, vecs = np.linalg.eigh(g)
+    n = kernel.dim
+    blocks = parity_blocks(kernel.entries[: n - n // 2])
+    solved = [np.linalg.eigh(block) for block in blocks]
+    residual = orth = 0.0
+    for block, (w, u) in zip(blocks, solved):
+        columns = np.linalg.norm(block @ u - u * w, axis=0)
+        residual = max(residual, float(columns.max(initial=0.0)))
+        orth = max(orth, float(np.abs(u.T @ u - np.eye(w.size)).max(initial=0.0)))
+    vals = np.concatenate([w for w, _ in solved])
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = fix_signs(vecs[:, order])
+    vecs = fix_signs(parity_vectors(*(u for _, u in solved))[:, order])
 
-    residual = float(np.max(np.linalg.norm(g @ vecs - vecs * vals, axis=0)))
-    orth = float(np.max(np.abs(vecs.T @ vecs - np.eye(kernel.dim))))
     if kernel.dim > 1:
         gaps = -np.diff(vals)
         diag = SpectrumDiagnostics(residual, orth, float(gaps[0]), float(gaps.min()))

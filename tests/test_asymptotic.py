@@ -6,6 +6,7 @@ import pytest
 from phasebound import (
     AsymptoticProblem,
     DomainError,
+    NoConvergenceError,
     asymptotic_least_upper_bound,
     build_kernel,
     compare_discrete_to_asymptotic,
@@ -13,6 +14,7 @@ from phasebound import (
     eigensystem,
     nystrom_spectrum,
 )
+from phasebound.asymptotic import gauss_legendre, nystrom_eigenvalues
 from conftest import TWO_PI
 
 XI_GRID = tuple(0.25 * k for k in range(1, 17))  # 0.25 .. 4.0
@@ -146,6 +148,60 @@ class TestParitySolve:
             odd = np.max(np.abs(v + v[::-1]))
             assert min(even, odd) <= 1e-13 * np.max(np.abs(v))
             assert v[np.argmax(np.abs(v))] > 0.0
+
+
+def mp_legendre_refinement(n, x0):
+    """Node and weight after Newton's method at 40 digits from ``x0``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x0))
+        for _ in range(10):
+            prev, cur = mpmath.mpf(1), x
+            for k in range(1, n):
+                prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+            deriv = n * (x * cur - prev) / (x * x - 1)
+            step = cur / deriv
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -36:
+                break
+        return x, 2 / ((1 - x * x) * deriv * deriv)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1024])
+    def test_matches_mpmath_refinement(self, n):
+        # numpy's leggauss misses the n=1024 end weights by 1.2e-9
+        z, w = gauss_legendre(n)
+        for i in sorted({0, 1, n // 2, n - 1}):
+            x, weight = mp_legendre_refinement(n, z[i])
+            assert abs(z[i] - float(x)) <= 1e-16
+            assert abs(w[i] - float(weight)) <= 1e-11 * float(weight)
+
+    def test_symmetric_rule_matches_leggauss(self):
+        for n in range(2, 301):
+            z, w = gauss_legendre(n)
+            assert np.all(np.diff(z) > 0.0)
+            assert np.array_equal(z, -z[::-1])
+            assert np.array_equal(w, w[::-1])
+            if n % 2:
+                assert z[n // 2] == 0.0
+            assert abs(w.sum() - 2.0) <= 1e-14
+            assert np.max(np.abs(z - np.polynomial.legendre.leggauss(n)[0])) <= 2e-16
+
+    def test_newton_cap(self, monkeypatch):
+        import phasebound.asymptotic as asym
+
+        monkeypatch.setattr(asym, "_NEWTON_STEPS", 1)
+        with pytest.raises(NoConvergenceError):
+            gauss_legendre(64)
+
+    @pytest.mark.parametrize("nodes", [1024, 4096])
+    def test_high_node_count_matches_converged_value(self, nodes):
+        # 48 nodes resolve the top eigenvalue to rounding for xi <= 3; more
+        # nodes may only add rounding, not quadrature bias
+        for xi in (0.5, 1.7, 3.0):
+            converged = nystrom_eigenvalues(xi, 48)[0]
+            assert abs(nystrom_eigenvalues(xi, nodes)[0] - converged) <= 2e-15
 
 
 class TestAsymptoticLeastUpperBound:

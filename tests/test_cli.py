@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasebound
-from phasebound.cli import main, parse_dk_list, thread_cap
+from phasebound.cli import main, parse_dk_list
 from conftest import TWO_PI
 
 PI_TEXT = "3.141592653589793"
@@ -161,12 +161,6 @@ class TestCurve:
         monkeypatch.setenv("PHASEBOUND_THREADS", "4")
         parallel = self.run(tmp_path, name="parallel.csv").read_bytes()
         assert serial == parallel
-
-    def test_thread_cap_parsing(self, monkeypatch):
-        monkeypatch.setenv("PHASEBOUND_THREADS", "2")
-        assert thread_cap() <= 2
-        monkeypatch.setenv("PHASEBOUND_THREADS", "junk")
-        assert thread_cap() >= 1
 
     def test_skipped_rows_flagged(self, tmp_path, capsys):
         out = tmp_path / "skip.csv"
@@ -362,6 +356,25 @@ class TestSpectrum:
         assert np.all(np.diff(vals) <= 0.0)
         assert vals.sum() == pytest.approx(1.0, abs=1e-10)
         assert vals[0] == pytest.approx(0.7833687892100014, abs=1e-12)
+
+    def test_continuum_matches_library_spectrum(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--xi", "1.7", "--nodes", "1024", "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        vals = np.array([float(c[1]) for c in rows])
+        library = phasebound.nystrom_spectrum(phasebound.AsymptoticProblem(1.7, 1024))
+        assert np.max(np.abs(vals - library.eigenvalues)) <= 4e-15
+        assert np.all(np.diff(vals) <= 0.0)
+
+    def test_discrete_matches_dense_eigvalsh(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--dalpha", "2.0", "--dk", "65", "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        vals = np.array([float(c[1]) for c in rows])
+        dense = np.sort(np.linalg.eigvalsh(phasebound.build_kernel(2.0, 65).entries))[::-1]
+        assert np.max(np.abs(vals - dense)) <= 1e-14
 
     def test_both_forms_rejected(self, tmp_path, capsys):
         argv = [

@@ -151,6 +151,26 @@ class TestEigensystem:
             v = res.eigenvectors[:, s]
             assert v[np.argmax(np.abs(v))] > 0.0
 
+    @pytest.mark.parametrize("dk", [0, 1, 2, 3, 64, 65, 1000, 1001])
+    def test_parity_solve_matches_dense(self, dk):
+        n = dk + 1
+        for dalpha in (0.3, 2.0, 6.2):
+            kernel = build_kernel(dalpha, dk)
+            res, g = eigensystem(kernel), kernel.entries
+            vals, vecs = res.eigenvalues, res.eigenvectors
+            dense = np.sort(np.linalg.eigvalsh(g))[::-1]
+            assert np.max(np.abs(vals - dense)) <= 1e-14
+            residual = np.max(np.linalg.norm(g @ vecs - vecs * vals, axis=0))
+            assert residual <= 1e-12 * n
+            assert abs(residual - res.diagnostics.max_residual) <= 1e-13
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12
+            gaps = np.abs(np.diff(vals))
+            gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+            for s in np.flatnonzero(gap > 1e-6):
+                v = vecs[:, s]
+                assert np.array_equal(v, v[::-1]) or np.array_equal(v, -v[::-1])
+                assert v[np.argmax(np.abs(v))] > 0.0
+
 
 class TestLeastUpperBound:
     def test_single_support(self):
