@@ -8,16 +8,18 @@ operator is discretized here with a Gauss-Legendre Nystrom rule, which
 converges spectrally because the kernel is entire; doubling the node count
 supplies an a posteriori error estimate.  The nodes come from Newton's
 method on the Legendre three-term recurrence, in O(n^2) time, rather than
-from a companion-matrix eigensolve.  The symmetric nodes and the even kernel
-make the discretized matrix centrosymmetric, so it is solved through its
-even and odd half-blocks (``kernel.parity_blocks``), as the dense kernel is
-in ``kernel.eigensystem``.  Where only eigenvalues are wanted,
-``nystrom_eigenvalues`` forms no eigenvectors.
+from a companion-matrix eigensolve, and each rule is built once per node
+count.  The symmetric nodes and the even kernel make the discretized matrix
+centrosymmetric, so it is solved through its even and odd half-blocks
+(``kernel.parity_blocks``), as the dense kernel is in ``kernel.eigensystem``.
+Where only eigenvalues are wanted, ``nystrom_eigenvalues`` forms no
+eigenvectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,6 +125,21 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
 
 
+@lru_cache(maxsize=8)
+def _shared_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_legendre(nodes)`` built once per node count, read-only.
+
+    Every Nystrom solve at a node count uses the same rule: the node-doubling
+    loop of ``asymptotic_least_upper_bound`` builds the 32- and 64-node rules
+    for every ``xi``, and the rule's O(n^2) Newton iteration cost more than
+    the 32- and 64-node solves themselves.
+    """
+    rule = gauss_legendre(nodes)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``P_n(x)`` and ``P_n'(x)`` by ``(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}``.
 
@@ -153,7 +170,7 @@ def _nystrom_blocks(
     is centrosymmetric and ``kernel.parity_blocks`` splits it.  Only the
     first ``n - n//2`` kernel rows are evaluated.
     """
-    z, w = gauss_legendre(nodes)
+    z, w = _shared_rule(nodes)
     sw = np.sqrt(w)
     top = nodes - nodes // 2
     rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]

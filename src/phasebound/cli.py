@@ -57,6 +57,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# printf form of ``_fmt``: the same bytes, for many values in one ``%`` call
+_FLOAT = "%.17g"
+
+
+def _fmt_join(values: Sequence[float], sep: str = ",") -> str:
+    """``sep.join(_fmt(v) for v in values)``, formatted in one ``%`` call."""
+    return sep.join([_FLOAT] * len(values)) % tuple(values)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -210,8 +219,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     _print_kv("xi", _fmt(concentration_parameter(dalpha, args.dk)))
     _print_kv("cauchy_bound", _fmt(cauchy_bound(dalpha, args.dk)))
     _print_kv("optimal_state_offset", state.offset)
-    _print_kv("optimal_state_re", ",".join(_fmt(v) for v in state.amplitudes.real))
-    _print_kv("optimal_state_im", ",".join(_fmt(v) for v in state.amplitudes.imag))
+    _print_kv("optimal_state_re", _fmt_join(state.amplitudes.real.tolist()))
+    _print_kv("optimal_state_im", _fmt_join(state.amplitudes.imag.tolist()))
     if not args.verify:
         return EXIT_OK
 
@@ -308,9 +317,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     phi = [-math.pi + TWO_PI * i / args.points for i in range(args.points)]
     dens = phase_density(state, None, phi)
     out = Path(args.output)
-    lines = ["phi,density"]
-    lines += [f"{_fmt(p)},{_fmt(d)}" for p, d in zip(phi, dens)]
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
+    table = [0.0] * (2 * args.points)
+    table[::2], table[1::2] = phi, dens.tolist()
+    rows = "\n".join([f"{_FLOAT},{_FLOAT}"] * args.points) % tuple(table)
+    out.write_text(f"phi,density\n{rows}\n", encoding="ascii")
 
     sidecar = {
         "kind": "distribution",
@@ -337,16 +347,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             raise DomainError("the discrete form needs both --dalpha and --dk")
         dalpha = math.radians(args.dalpha) if args.degrees else args.dalpha
         vals = eigensystem(build_kernel(dalpha, args.dk)).eigenvalues
-        lines = ["index,eigenvalue"]
-        lines += [f"{i},{_fmt(v)}" for i, v in enumerate(vals)]
+        header, tail = "index,eigenvalue", ""
     else:
         if args.xi is None:
             raise DomainError("the continuum form needs --xi")
         problem = AsymptoticProblem(args.xi, args.nodes if args.nodes is not None else 64)
         vals = nystrom_eigenvalues(problem.xi, problem.nodes)
-        lines = ["index,eigenvalue,nodes"]
-        lines += [f"{i},{_fmt(v)},{problem.nodes}" for i, v in enumerate(vals)]
-    out.write_text("\n".join(lines) + "\n", encoding="ascii")
+        header, tail = "index,eigenvalue,nodes", f",{problem.nodes}"
+    rows = "\n".join(f"{i},{_FLOAT}{tail}" for i in range(vals.size)) % tuple(vals.tolist())
+    out.write_text(f"{header}\n{rows}\n", encoding="ascii")
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ Power iteration multiplies by the kernel through ``kernel.toeplitz_operator``,
 the FFT product that ``leading_eigenpair`` and ``povm.interval_probability``
 also use, so the product itself is not re-derived here.  Its independence
 lies elsewhere: power iteration is a different eigen-algorithm from the Sturm
-bisection plus inverse iteration on Slepian's tridiagonal matrix that gives
-the bound, and the tests check the FFT product against the dense matrix.
+isolation plus Rayleigh-quotient inverse iteration on Slepian's tridiagonal
+matrix that gives the bound, and the tests check the FFT product against the
+dense matrix.
 """
 
 from __future__ import annotations

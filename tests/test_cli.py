@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasebound
-from phasebound.cli import main, parse_dk_list
+from phasebound.cli import _FLOAT, _fmt, _fmt_join, main, parse_dk_list
 from conftest import TWO_PI
 
 PI_TEXT = "3.141592653589793"
@@ -396,3 +396,14 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import phasebound.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_joined_format_matches_fmt():
+    # bound, spectrum and distribution format whole lists with one % call
+    special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 1 / 3]
+    rng = np.random.default_rng(11)
+    drawn = rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000)
+    values = special + drawn.tolist()
+    assert _fmt_join(values) == ",".join(_fmt(v) for v in values)
+    assert _fmt_join(special, "\n") == "\n".join(_fmt(v) for v in special)
+    assert [_FLOAT % v for v in values] == [_fmt(v) for v in values]

@@ -19,8 +19,13 @@ from phasebound import (
     power_iteration,
     random_state_search,
 )
+import phasebound.kernel as kernel_module
 from phasebound.kernel import (
+    _factor,
     _fft_length,
+    _slepian_block,
+    _solve,
+    _top_eigenvector,
     kernel_column,
     toeplitz_from_column,
     toeplitz_operator,
@@ -257,6 +262,41 @@ class TestLeadingEigenpair:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "dalpha", [1e-6, 0.01, np.pi, 4.0, 5.5, 6.2, TWO_PI - 1e-9]
+    )
+    def test_edge_grid_matches_dense_block(self, dalpha):
+        # zero (dalpha = pi), negative and almost uniform diagonals of T
+        for dk in list(range(1, 41)) + [100, 101, 1000, 1001]:
+            for index in range(min(2, dk + 1)):
+                diag, off = _slepian_block(dalpha, dk + 1, index == 1)
+                vector = _top_eigenvector(diag, off)
+                block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                values, vectors = np.linalg.eigh(block)
+                if values.size == 1 or values[-1] - values[-2] > 1e-6:
+                    assert 1.0 - abs(vector @ vectors[:, -1]) <= 1e-13
+                leading_eigenpair(dalpha, dk, index)  # the residual gate holds
+
+    def test_sweeps_per_call(self, monkeypatch):
+        # O(dk) Python sweeps on bound-verify's range: one per factorisation,
+        # two per solve.  Bisection to rounding took about 52.
+        sweeps = []
+
+        def counted(helper, count):
+            def wrapper(*args):
+                sweeps.append(count)
+                return helper(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(kernel_module, "_factor", counted(_factor, 1))
+        monkeypatch.setattr(kernel_module, "_solve", counted(_solve, 2))
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            dk, xi = int(rng.integers(800, 1200)), rng.uniform(0.5, 3.0)
+            leading_eigenpair(TWO_PI * xi / (dk + 1), dk)
+        assert sum(sweeps) / 20 <= 25
 
     @pytest.mark.parametrize("dk", [1000, 20000])
     def test_scipy_dpss(self, dk):
