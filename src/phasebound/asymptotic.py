@@ -92,8 +92,9 @@ class AsymptoticSpectrum:
     error_estimates: np.ndarray
 
 
+@lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1], read-only.
 
     Newton's method on ``P_n`` from Tricomi's guesses for the nonnegative
     half, with ``P_n`` and ``P_n'`` from the three-term recurrence, vectorised
@@ -105,6 +106,11 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     ``s^2 |x|/(1-x^2)``; iteration stops once that is below ``_NEWTON_TOL``
     for every node, and raises NoConvergenceError if it is not after
     ``_NEWTON_STEPS`` steps.
+
+    Each rule is built once per node count and shared: the node-doubling
+    loop of ``asymptotic_least_upper_bound`` asks for the 32- and 64-node
+    rules for every ``xi``, and their Newton iteration cost more than the
+    32- and 64-node solves themselves.
     """
     k = np.arange(1, (nodes + 1) // 2 + 1)
     theta = np.pi * (4 * k - 1) / (4 * nodes + 2)
@@ -122,19 +128,7 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     m = nodes // 2
     if nodes % 2:
         x[-1] = 0.0
-    return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
-
-
-@lru_cache(maxsize=8)
-def _shared_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``gauss_legendre(nodes)`` built once per node count, read-only.
-
-    Every Nystrom solve at a node count uses the same rule: the node-doubling
-    loop of ``asymptotic_least_upper_bound`` builds the 32- and 64-node rules
-    for every ``xi``, and the rule's O(n^2) Newton iteration cost more than
-    the 32- and 64-node solves themselves.
-    """
-    rule = gauss_legendre(nodes)
+    rule = np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -170,7 +164,7 @@ def _nystrom_blocks(
     is centrosymmetric and ``kernel.parity_blocks`` splits it.  Only the
     first ``n - n//2`` kernel rows are evaluated.
     """
-    z, w = _shared_rule(nodes)
+    z, w = gauss_legendre(nodes)
     sw = np.sqrt(w)
     top = nodes - nodes // 2
     rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]

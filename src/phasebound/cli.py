@@ -52,18 +52,19 @@ _POWER_SKIP_NOTE = "comparison skipped: gap-degenerate or slow"
 _CURVE_COLUMNS = ("xi", "dk", "dalpha", "lambda0", "cauchy_bound", "asym_error", "note")
 
 
-def _fmt(value: float) -> str:
-    """Format a float with 17 significant digits (round-trips exactly)."""
-    return format(float(value), ".17g")
-
-
-# printf form of ``_fmt``: the same bytes, for many values in one ``%`` call
+# 17 significant digits round-trip every float; lists are formatted with one
+# ``%`` call on a template of repeated ``_FLOAT``s
 _FLOAT = "%.17g"
 
 
-def _fmt_join(values: Sequence[float], sep: str = ",") -> str:
-    """``sep.join(_fmt(v) for v in values)``, formatted in one ``%`` call."""
-    return sep.join([_FLOAT] * len(values)) % tuple(values)
+def _fmt(value: float) -> str:
+    """Format a float with 17 significant digits (round-trips exactly)."""
+    return _FLOAT % float(value)
+
+
+def _fmt_join(values: Sequence[float]) -> str:
+    """``",".join(_fmt(v) for v in values)``, formatted in one ``%`` call."""
+    return ",".join([_FLOAT] * len(values)) % tuple(values)
 
 
 def _cell(value) -> str:

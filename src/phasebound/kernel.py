@@ -342,8 +342,11 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     shift never leaves the isolating bracket, and convergence is cubic once
     the vector is close.  When the shift stops moving at rounding level, one
     more solve with the last factorisation brings the vector to rounding too.
-    (A bracket that collapses before isolating means a top eigenvalue that is
-    multiple to rounding; two solves there give a vector of it.)
+    A bracket that collapses before isolating means a top eigenvalue that is
+    multiple to rounding.  If the last count there was 0, two solves give a
+    vector of it; if it was 2, the factorisation stopped early and
+    ConvergenceFailureError is raised.  Slepian's blocks, with a top gap of
+    3-7, reach neither case.
 
     ``hi`` is Gershgorin's bound after the diagonal scaling of the last entry
     that balances the last two rows.  The even block of an odd-length ``T``
@@ -373,6 +376,10 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         else:
             hi = shift
         if floor is None and (above == 1 or hi - lo <= guard):
+            if above == 2:
+                raise ConvergenceFailureError(
+                    f"top eigenvalue of a {len(d)}-row block is multiple to rounding"
+                )
             floor = shift
         if floor is not None:
             y = np.array(_solve(pivots, lower, upper, x.tolist()))

@@ -192,6 +192,7 @@ class TestGaussLegendre:
         import phasebound.asymptotic as asym
 
         monkeypatch.setattr(asym, "_NEWTON_STEPS", 1)
+        gauss_legendre.cache_clear()
         with pytest.raises(NoConvergenceError):
             gauss_legendre(64)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasebound
-from phasebound.cli import _FLOAT, _fmt, _fmt_join, main, parse_dk_list
+from phasebound.cli import _fmt, _fmt_join, main, parse_dk_list
 from conftest import TWO_PI
 
 PI_TEXT = "3.141592653589793"
@@ -405,5 +405,5 @@ def test_joined_format_matches_fmt():
     drawn = rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000)
     values = special + drawn.tolist()
     assert _fmt_join(values) == ",".join(_fmt(v) for v in values)
-    assert _fmt_join(special, "\n") == "\n".join(_fmt(v) for v in special)
-    assert [_FLOAT % v for v in values] == [_fmt(v) for v in values]
+    # the printf form gives the bytes of Python's own format
+    assert [_fmt(v) for v in values] == [format(v, ".17g") for v in values]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phasebound import (
+    ConvergenceFailureError,
     DomainError,
     NumberWindow,
     PhaseWindow,
@@ -277,6 +278,15 @@ class TestLeadingEigenpair:
                 if values.size == 1 or values[-1] - values[-2] > 1e-6:
                     assert 1.0 - abs(vector @ vectors[:, -1]) <= 1e-13
                 leading_eigenpair(dalpha, dk, index)  # the residual gate holds
+
+    def test_multiple_top_eigenvalue(self):
+        # the bracket collapses on a top eigenvalue 1 of multiplicity two
+        diag, off = np.array([1.0, 0.5, 0.5]), np.array([0.0, 0.5])
+        vector = _top_eigenvector(diag, off)  # last count 0: a vector of it
+        block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.linalg.norm(block @ vector - vector) <= 1e-15
+        with pytest.raises(ConvergenceFailureError):  # last count 2
+            _top_eigenvector(np.full(4, 0.5), np.array([0.5, 0.0, 0.5]))
 
     def test_sweeps_per_call(self, monkeypatch):
         # O(dk) Python sweeps on bound-verify's range: one per factorisation,
