@@ -239,8 +239,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if dalpha == 0.0:
         _print_kv("verify_power_note", "skipped: zero kernel")
         return EXIT_OK
-    # power iteration converges at the rate lambda1/lambda0: skip it up front
-    # when the top gap is too small for it to finish
+    # a residual r pins the top vector only to within about r/gap, so a tiny
+    # top gap leaves it ill-conditioned: skip the comparison up front
     gap = lam - leading_eigenpair(dalpha, args.dk, 1)[0] if args.dk else math.inf
     if gap <= 1e-6:
         _print_kv("verify_power_note", _POWER_SKIP_NOTE)

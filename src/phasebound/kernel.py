@@ -24,10 +24,10 @@ about 22 pure-Python O(dk) sweeps where bisection to rounding took 52.
 
 Where only products with the kernel are needed, ``toeplitz_operator`` takes
 them through an FFT of its circulant embedding, in O(dk log dk) time and
-O(dk) memory: the Rayleigh quotient in ``leading_eigenpair``, the
-power-iteration oracle and the window probability
-``povm.interval_probability``.  The dense ``build_kernel`` serves the full
-spectrum and the random-state oracle.
+O(dk) memory, and ``kernel_operator`` builds it once per ``(dalpha, size)``
+for the Rayleigh quotient in ``leading_eigenpair``, the power-iteration
+oracle and the window probability ``povm.interval_probability``.  The dense
+``build_kernel`` serves the full spectrum and the random-state oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,6 +114,7 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     circulant[:n] = col
     circulant[length - n + 1 :] = col[:0:-1]
     spectrum = np.fft.rfft(circulant)
+    spectrum.flags.writeable = False
 
     def matvec(v: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(v):
@@ -120,6 +122,15 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[:n]
 
     return matvec
+
+
+@lru_cache(maxsize=4)
+def kernel_operator(delta_alpha: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``toeplitz_operator(kernel_column(delta_alpha, size))``, built once per
+    ``(delta_alpha, size)`` and shared: one ``bound --verify`` multiplies by
+    the same kernel in both ``leading_eigenpair`` calls, the power-iteration
+    oracle and ``povm.interval_probability``."""
+    return toeplitz_operator(kernel_column(float(delta_alpha), size))
 
 
 @dataclass(frozen=True)
@@ -436,7 +447,7 @@ def leading_eigenpair(
         vector = np.concatenate((half, half[-2::-1]))
     vector = fix_signs((vector / np.linalg.norm(vector))[:, None])[:, 0]
 
-    image = toeplitz_operator(kernel_column(delta_alpha, size))(vector)
+    image = kernel_operator(delta_alpha, size)(vector)
     value = float(vector @ image)
     residual = float(np.linalg.norm(image - value * vector))
     if residual > 1e-12 * size:

@@ -1,18 +1,20 @@
 """Independent brute-force checks for the closed-form machinery.
 
 Window probabilities are integrated with composite Simpson on a
-pointwise-evaluated density, the top eigenvalue is re-derived by power
-iteration, and the variational bound is probed with seeded random states on
-the dense kernel.  Agreement between these and the closed forms is what the
-test suite leans on.
+pointwise-evaluated density, the top eigenvalue is re-derived from the power
+iterates of a random start, and the variational bound is probed with seeded
+random states on the dense kernel.  Agreement between these and the closed
+forms is what the test suite leans on.
 
-Power iteration multiplies by the kernel through ``kernel.toeplitz_operator``,
-the FFT product that ``leading_eigenpair`` and ``povm.interval_probability``
-also use, so the product itself is not re-derived here.  Its independence
-lies elsewhere: power iteration is a different eigen-algorithm from the Sturm
-isolation plus Rayleigh-quotient inverse iteration on Slepian's tridiagonal
-matrix that gives the bound, and the tests check the FFT product against the
-dense matrix.
+The power-iteration oracle multiplies by the kernel through
+``kernel.kernel_operator``, the FFT product that ``leading_eigenpair`` and
+``povm.interval_probability`` also use, so the product itself is not
+re-derived here.  Its independence lies elsewhere: it takes the
+Rayleigh-Ritz pair of the Krylov space of those products (Lanczos) and
+accepts it only on the residual of one more product, a different
+eigen-algorithm on a different matrix from the Sturm isolation plus
+Rayleigh-quotient inverse iteration on Slepian's tridiagonal matrix that
+gives the bound.  The tests check the FFT product against the dense matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernel import build_kernel, check_domain, kernel_column, toeplitz_operator
+from .kernel import build_kernel, check_domain, kernel_operator
 from .states import TWO_PI, FockState, PhaseWindow
 
 
@@ -77,54 +79,96 @@ class PowerIterationResult:
     gap_degenerate: bool
 
 
+# most Krylov vectors one Lanczos run keeps before it restarts from its Ritz
+# vector; the basis takes O(_BASIS * dk) memory
+_BASIS = 32
+
+
 def power_iteration(
     delta_alpha: float, delta_k: int, cfg: OracleConfig = OracleConfig()
 ) -> PowerIterationResult:
-    """Dominant eigenpair of the kernel by repeated multiplication from a
-    seeded start.
+    """Dominant eigenpair of the kernel: the Rayleigh-Ritz pair of the Krylov
+    space spanned by the power iterates of a seeded start.
 
-    Convergence means residual ``||G x - lambda x|| <= power_tolerance``.
-    A multi-dimensional kernel that converges on the very first step can only
-    have handed the random start an eigenvector, so the result is flagged
-    ``gap_degenerate``; running out of iterations flags ``converged=False``.
-    Neither condition raises: callers use the flags to skip comparisons.
-    ``dalpha == 0`` gives the zero kernel and raises DomainError.
+    Lanczos builds an orthonormal basis of that space with full
+    reorthogonalisation (two Gram-Schmidt passes), and the top eigenpair of
+    its tridiagonal projection is the Ritz pair (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 13).  A run stops when the Lanczos estimate
+    ``beta_k |y_k|`` of the Ritz residual reaches ``power_tolerance``, or when
+    it holds ``_BASIS`` vectors; the next run starts from the Ritz vector.
+    The first product of each run gives the start's true residual
+    ``||G x - (x.Gx) x||``, and only that residual declares convergence
+    (``<= power_tolerance``).  A start whose product is zero lies in the
+    kernel's null space and is drawn again.  ``iterations`` counts kernel
+    products, which ``max_iterations`` caps.
+
+    A multi-dimensional kernel that converges on the very first product can
+    only have handed the random start an eigenvector, so the result is
+    flagged ``gap_degenerate``.  Running out of products flags
+    ``converged=False`` and returns the last Ritz pair with the Lanczos
+    estimate as its residual.  Neither condition raises: callers use the
+    flags to skip comparisons.  ``dalpha == 0`` gives the zero kernel and
+    raises DomainError.
     """
     check_domain(delta_alpha, delta_k)
     if delta_alpha == 0.0:
         raise DomainError("power iteration needs a nonzero kernel")
     dim = delta_k + 1
-    apply = toeplitz_operator(kernel_column(float(delta_alpha), dim))
+    apply = kernel_operator(delta_alpha, dim)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
+    basis = np.empty((_BASIS, dim))
 
-    lam = 0.0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        y = apply(x)
-        lam = float(x @ y)
-        residual = float(np.linalg.norm(y - lam * x))
-        if residual <= cfg.power_tolerance:
-            return PowerIterationResult(
-                value=lam,
-                vector=x,
-                iterations=iterations,
-                residual=residual,
-                converged=True,
-                gap_degenerate=(dim > 1 and iterations == 1),
-            )
-        ynorm = np.linalg.norm(y)
-        if ynorm == 0.0:  # start landed in the kernel's null space
+    value, residual, products = 0.0, np.inf, 0
+    while products < cfg.max_iterations:
+        w = apply(x)
+        products += 1
+        if not w.any():  # start landed in the kernel's null space
             x = rng.standard_normal(dim)
             x /= np.linalg.norm(x)
             continue
-        x = y / ynorm
+        value = float(x @ w)
+        residual = float(np.linalg.norm(w - value * x))
+        if residual <= cfg.power_tolerance:
+            return PowerIterationResult(
+                value=value,
+                vector=x,
+                iterations=products,
+                residual=residual,
+                converged=True,
+                gap_degenerate=(dim > 1 and products == 1),
+            )
+        # Lanczos run from x; w is the product of the newest basis vector
+        basis[0] = x
+        alpha, beta = [], []
+        while True:
+            known = basis[: len(alpha) + 1]
+            first = known @ w
+            w -= first @ known
+            second = known @ w
+            w -= second @ known
+            alpha.append(float(first[-1] + second[-1]))
+            theta, ritz = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            norm = float(np.linalg.norm(w))
+            residual = norm * abs(float(ritz[-1, -1]))
+            if (
+                residual <= cfg.power_tolerance
+                or len(alpha) == _BASIS
+                or products == cfg.max_iterations
+            ):
+                break
+            beta.append(norm)
+            basis[len(alpha)] = w / norm
+            w = apply(basis[len(alpha)])
+            products += 1
+        x = ritz[:, -1] @ basis[: len(alpha)]
+        x /= np.linalg.norm(x)
+        value = float(theta[-1])
     return PowerIterationResult(
-        value=lam,
+        value=value,
         vector=x,
-        iterations=iterations,
+        iterations=products,
         residual=residual,
         converged=False,
         gap_degenerate=False,

@@ -21,7 +21,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidMatrixError,
 )
-from .kernel import kernel_column, toeplitz_operator
+from .kernel import kernel_operator
 from .states import FockState, NumberWindow, PhaseWindow
 
 _VALIDITY_TOL = 1e-12
@@ -183,15 +183,14 @@ def interval_probability(state: FockState, window: PhaseWindow) -> float:
 
     Closed form: with chi_n = psi_n * exp(-i n alpha), the probability is the
     concentration-kernel quadratic form chi^dagger G(dalpha) chi, with the
-    product ``G chi`` taken by ``kernel.toeplitz_operator`` without forming
+    product ``G chi`` taken by ``kernel.kernel_operator`` without forming
     ``G``.  The state must be normalized for the result to be a probability.
     """
     if window.width == 0.0:
         return 0.0
     j = np.arange(state.size)
     chi = state.amplitudes * np.exp(-1j * window.center * j)
-    apply = toeplitz_operator(kernel_column(window.width, state.size))
-    p = float(np.vdot(chi, apply(chi)).real)
+    p = float(np.vdot(chi, kernel_operator(window.width, state.size)(chi)).real)
     return _clamp_probability(p)
 
 

@@ -65,15 +65,16 @@ class TestBound:
         assert "verify_power_note" in kv_output(capsys)
 
     def test_verify_small_gap_skips_power_iteration(self, capsys):
-        # xi = 8: the top gap is about 1e-8, far too small for power iteration
+        # xi = 8: the top gap is about 1e-8, below the 1e-6 at which the
+        # comparison is skipped
         argv = ["bound", "--dalpha", "0.2500770271514263", "--dk", "200", "--verify"]
         assert main(argv) == 0
         out = kv_output(capsys)
         assert out["verify_power_note"] == "comparison skipped: gap-degenerate or slow"
         assert "verify_power_iterations" not in out
 
-    def test_verify_large_dk(self, capsys):
-        dk = 20000
+    @pytest.mark.parametrize("dk", [20000, 100000])
+    def test_verify_large_dk(self, capsys, dk):
         dalpha = repr(TWO_PI * 2.5 / (dk + 1))
         assert main(["bound", "--dalpha", dalpha, "--dk", str(dk), "--verify"]) == 0
         out = kv_output(capsys)

@@ -10,6 +10,7 @@ from phasebound import (
     PhaseWindow,
     cauchy_bound,
     interval_probability,
+    leading_eigenpair,
     least_upper_bound,
     normalize,
     power_iteration,
@@ -97,6 +98,34 @@ class TestPowerIteration:
         b = power_iteration(2.2, 6, cfg)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
+
+    def test_products_on_bound_verify_range(self):
+        # the Ritz pair of the first few power iterates; taking the last
+        # iterate alone needed about 170 products here
+        rng = np.random.default_rng(8)
+        counts = []
+        for _ in range(20):
+            dk = int(rng.integers(800, 1201))
+            dalpha = TWO_PI * rng.uniform(0.5, 3.0) / (dk + 1)
+            res = power_iteration(dalpha, dk)
+            assert res.converged and not res.gap_degenerate
+            assert abs(res.value - leading_eigenpair(dalpha, dk)[0]) <= 1e-12
+            counts.append(res.iterations)
+        assert np.mean(counts) <= 16
+
+    def test_restart(self, monkeypatch):
+        import phasebound.oracles as oracles
+
+        monkeypatch.setattr(oracles, "_BASIS", 2)
+        dalpha = TWO_PI * 3.0 / 41
+        res = power_iteration(dalpha, 40)
+        assert res.converged
+        assert abs(res.value - leading_eigenpair(dalpha, 40)[0]) <= 1e-12
+
+    def test_product_cap(self):
+        res = power_iteration(TWO_PI * 3.0 / 1001, 1000, OracleConfig(max_iterations=3))
+        assert not res.converged and not res.gap_degenerate
+        assert res.iterations == 3
 
 
 class TestRandomStateSearch:
