@@ -37,6 +37,7 @@ from .kernel import (
     eigensystem,
     leading_eigenpair,
     least_upper_bound,
+    second_eigenvalue_bound,
 )
 from .oracles import (
     OracleConfig,
@@ -109,5 +110,6 @@ __all__ = [
     "quadrature_probability",
     "random_state_search",
     "reduce",
+    "second_eigenvalue_bound",
     "validate_phase_matrix",
 ]

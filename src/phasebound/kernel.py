@@ -28,6 +28,9 @@ O(dk) memory, and ``kernel_operator`` builds it once per ``(dalpha, size)``
 for the Rayleigh quotient in ``leading_eigenpair``, the power-iteration
 oracle and the window probability ``povm.interval_probability``.  The dense
 ``build_kernel`` serves the full spectrum and the random-state oracle.
+Where only an upper bound on the second eigenvalue is needed,
+``second_eigenvalue_bound`` gives the odd half-block's Frobenius norm from
+two O(dk) trace sums over the kernel column, with no solve.
 """
 
 from __future__ import annotations
@@ -455,6 +458,38 @@ def leading_eigenpair(
             f"eigenpair {index} residual {residual:.3e} exceeds {1e-12 * size:.3e}"
         )
     return value, vector
+
+
+def second_eigenvalue_bound(delta_alpha: float, size: int) -> float:
+    """Upper bound on the second eigenvalue of the ``size``-point kernel, in
+    O(size) time and memory, forming no matrix.
+
+    The kernel ``G`` commutes with the reversal ``J``, and its second
+    eigenvalue is the top one of its odd half-block (``leading_eigenpair``),
+    so it is at most that block's Frobenius norm, whose square is
+    ``(tr G^2 - tr JG^2) / 2``.  With ``e`` the kernel column,
+    ``tr G^2 = size*e_0^2 + 2 sum_a (size-a) e_a^2`` and
+    ``tr JG^2 = sum_a e_|a| h(size-1-|a|)`` over ``|a| < size``, where
+    ``h(R)`` sums ``e_|b|`` over ``b = -R, -R+2, ..., R``: cumulative sums
+    over the even and odd lags.  A constant matrix has no odd part, so the
+    column is first centred on the mean entry of ``G``; then the two traces
+    no longer cancel where ``G`` is close to constant (small ``dalpha``),
+    where they would lose all digits of the difference.  The rest of the
+    rounding, which grows with the number of terms summed, is covered by an
+    allowance of ``4 sqrt(size)`` ulps of the traces' magnitude, added
+    before the root so that rounding can only raise the bound.
+    """
+    e = kernel_column(float(delta_alpha), size)
+    counts = np.arange(size, 0, -1, dtype=float)  # size - a: entries at lag a
+    e = e - (2.0 * (counts @ e) - size * e[0]) / (size * size)
+    trace_sq = 2.0 * (counts @ (e * e)) - size * e[0] ** 2
+    h = np.empty(size)
+    h[0::2] = 2.0 * np.cumsum(e[0::2]) - e[0]
+    h[1::2] = 2.0 * np.cumsum(e[1::2])
+    trace_reversed = 2.0 * (e @ h[::-1]) - e[0] * h[-1]
+    ulps = 4.0 * math.sqrt(size) * float(np.finfo(float).eps)
+    allowance = ulps * (trace_sq + abs(trace_reversed))
+    return math.sqrt(max(0.5 * (trace_sq - trace_reversed), 0.0) + allowance)
 
 
 def least_upper_bound(delta_alpha: float, delta_k: int) -> tuple[float, FockState]:

@@ -68,13 +68,20 @@ class MatrixValidity:
     unit_diagonal: bool
     modulus_bound: bool
     hermitian: bool
+    positive_semidefinite: bool
+    lowest_eigenvalue: float
     first_bad_diagonal: Optional[int] = None
     first_bad_modulus: Optional[tuple[int, int]] = None
     first_bad_hermitian: Optional[tuple[int, int]] = None
 
     @property
     def ok(self) -> bool:
-        return self.unit_diagonal and self.modulus_bound and self.hermitian
+        return (
+            self.unit_diagonal
+            and self.modulus_bound
+            and self.hermitian
+            and self.positive_semidefinite
+        )
 
     def describe(self) -> str:
         if self.ok:
@@ -86,15 +93,24 @@ class MatrixValidity:
             parts.append(f"|c| > 1 first at {self.first_bad_modulus}")
         if not self.hermitian:
             parts.append(f"not Hermitian first at {self.first_bad_hermitian}")
+        if not self.positive_semidefinite:
+            parts.append(
+                f"not positive semidefinite: lowest eigenvalue {self.lowest_eigenvalue:.3e}"
+            )
         return "; ".join(parts)
 
 
 def validate_phase_matrix(matrix: PhaseMatrix) -> MatrixValidity:
-    """Check unit diagonal, |c| <= 1 and Hermiticity; report first offenders.
+    """Check unit diagonal, |c| <= 1, Hermiticity and positive
+    semidefiniteness; report first offenders and the lowest eigenvalue.
 
-    These are the necessary conditions for the coefficients to define a
-    normalized real phase density; positivity of the full measure is not
-    certified here.
+    The measurement's operator density at ``phi`` is ``c`` conjugated by
+    ``diag(exp(-i n phi))``, over ``2*pi``: it is positive at every ``phi``
+    exactly when ``c`` is positive semidefinite, and integrates to the
+    identity exactly when the diagonal is 1.  Those two conditions make
+    ``c`` a measurement and imply the other two.  The lowest eigenvalue is
+    that of the Hermitian part ``(c + c^H)/2``; rounding may put it up to
+    ``_VALIDITY_TOL * dim`` below 0.
     """
     c = matrix.coefficients
 
@@ -116,8 +132,16 @@ def validate_phase_matrix(matrix: PhaseMatrix) -> MatrixValidity:
         n, m = np.unravel_index(int(np.argmax(herm_bad)), c.shape)
         first_herm = (int(n), int(m))
 
+    lowest = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
     return MatrixValidity(
-        unit_diagonal, modulus_bound, hermitian, first_diag, first_mod, first_herm
+        unit_diagonal,
+        modulus_bound,
+        hermitian,
+        lowest >= -_VALIDITY_TOL * matrix.dim,
+        lowest,
+        first_diag,
+        first_mod,
+        first_herm,
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasebound
-from phasebound.cli import _fmt, _fmt_join, main, parse_dk_list
+from phasebound.cli import _fmt, _fmt_join, build_parser, main, parse_dk_list
 from conftest import TWO_PI
 
 PI_TEXT = "3.141592653589793"
@@ -93,6 +93,32 @@ class TestBound:
             tracemalloc.stop()
         assert kv_output(capsys)["verify_power_converged"] == "true"
         assert peak < 8 * 2**20
+
+    def test_verify_certifies_gap_without_second_pair(self, capsys, monkeypatch):
+        # on bound-verify's range the odd block's Frobenius norm proves the
+        # top gap wider than 1e-6, so the second pair is never solved for
+        import phasebound.cli as cli
+
+        calls = {"leading_eigenpair": 0, "least_upper_bound": 0}
+
+        def counted(name):
+            function = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            dk, xi = int(rng.integers(800, 1200)), rng.uniform(0.5, 2.5)
+            argv = ["bound", "--dalpha", repr(TWO_PI * xi / (dk + 1)), "--dk", str(dk), "--verify"]
+            assert main(argv) == 0
+            assert float(kv_output(capsys)["verify_power_delta"]) <= 1e-9
+        assert calls == {"leading_eigenpair": 0, "least_upper_bound": 10}
 
     def test_degrees(self, capsys):
         assert main(["bound", "--dalpha", "180", "--dk", "1", "--degrees"]) == 0
@@ -390,6 +416,30 @@ class TestSpectrum:
     def test_half_specified_discrete_rejected(self, tmp_path, capsys):
         argv = ["spectrum", "--dalpha", "1", "--output", str(tmp_path / "s.csv")]
         assert main(argv) == 2
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is shared between calls and carries nothing from one to the next
+    src = str(Path(phasebound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from phasebound.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def runs(tag):
+        bound = ["bound", "--dalpha", "1.5", "--dk", "40", "--verify"]
+        spectrum = ["spectrum", "--dalpha", "1.0", "--dk", "30", "--output", str(tmp_path / tag)]
+        return [bound, spectrum, bound]
+
+    for argv, fresh_argv in zip(runs("in_process.csv"), runs("fresh.csv")):
+        assert main(argv) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-c", code, *fresh_argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert capsys.readouterr().out == fresh.stdout
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,7 @@
 """Concentration kernel construction and spectrum."""
 
 import bisect
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from phasebound import (
     least_upper_bound,
     power_iteration,
     random_state_search,
+    second_eigenvalue_bound,
 )
 import phasebound.kernel as kernel_module
 from phasebound.kernel import (
@@ -28,6 +30,7 @@ from phasebound.kernel import (
     _solve,
     _top_eigenvector,
     kernel_column,
+    parity_blocks,
     toeplitz_from_column,
     toeplitz_operator,
 )
@@ -316,6 +319,47 @@ class TestLeadingEigenpair:
             taper, ratio = windows.dpss(dk + 1, xi / 2.0, Kmax=1, return_ratios=True)
             assert abs(value - ratio[0]) <= 1e-13
             assert abs(1.0 - abs(vector @ taper[0]) / np.linalg.norm(taper[0])) <= 1e-12
+
+
+class TestSecondEigenvalueBound:
+    """The odd half-block's Frobenius norm from two O(dk) traces."""
+
+    def test_matches_odd_block_frobenius_norm(self):
+        rng = np.random.default_rng(29)
+        cases = [(dk, TWO_PI) for dk in (1, 2, 3, 300)] + [(1, 1.0), (2, 3.0), (300, 0.01)]
+        for _ in range(60):
+            dk = int(rng.integers(1, 301))
+            xi = float(np.exp(rng.uniform(np.log(1e-8), np.log(12.0))))
+            cases.append((dk, min(TWO_PI * xi / (dk + 1), TWO_PI)))
+        for dk, dalpha in cases:
+            n = dk + 1
+            odd = parity_blocks(build_kernel(dalpha, dk).entries[: n - n // 2])[1]
+            frobenius_sq = float(np.sum(np.linalg.eigvalsh(odd) ** 2))
+            bound_sq = second_eigenvalue_bound(dalpha, n) ** 2
+            # relative: where dalpha is small the traces are tiny but the
+            # bound must still track the block
+            assert abs(bound_sq - frobenius_sq) <= 1e-13 * frobenius_sq
+            # rounding only raises the bound above the block's exact norm
+            assert bound_sq >= math.fsum((odd * odd).ravel())
+
+    def test_bounds_second_eigenvalue(self):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            dk = int(np.exp(rng.uniform(0.0, np.log(3000.0))))
+            xi = float(np.exp(rng.uniform(np.log(1e-8), np.log(12.0))))
+            dalpha = min(TWO_PI * xi / (dk + 1), TWO_PI)
+            second = leading_eigenpair(dalpha, dk, 1)[0]
+            assert second_eigenvalue_bound(dalpha, dk + 1) >= second - 1e-15
+
+    def test_builds_no_matrix(self):
+        size = 4001  # the odd block alone would take 32 MB
+        tracemalloc.start()
+        try:
+            second_eigenvalue_bound(TWO_PI * 2.5 / size, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCauchyBound:

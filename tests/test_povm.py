@@ -82,6 +82,27 @@ class TestValidatePhaseMatrix:
         assert "n=1" in validate_phase_matrix(PhaseMatrix(c)).describe()
 
 
+    def test_indefinite_matrix_refused(self):
+        # Hermitian, unit diagonal, |c| <= 1, yet eigenvalues -1, 2, 2: the
+        # uniform state's density would reach -1/(2*pi) at phi = pi
+        c = np.array([[1, 1, -1], [1, 1, 1], [-1, 1, 1]], dtype=complex)
+        report = validate_phase_matrix(PhaseMatrix(c))
+        assert report.unit_diagonal and report.modulus_bound and report.hermitian
+        assert not report.positive_semidefinite and not report.ok
+        assert report.lowest_eigenvalue == pytest.approx(-1.0, abs=1e-14)
+        assert "lowest eigenvalue -1.000e+00" in report.describe()
+        with pytest.raises(InvalidMatrixError, match="positive semidefinite"):
+            phase_density(TRIPLE, PhaseMatrix(c), np.pi)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 200])
+    def test_canonical_and_identity_are_positive_semidefinite(self, dim):
+        # eigenvalues 0 and dim, and all 1
+        for matrix in (PhaseMatrix.canonical(dim), PhaseMatrix.identity(dim)):
+            report = validate_phase_matrix(matrix)
+            assert report.positive_semidefinite and report.ok
+            assert report.lowest_eigenvalue >= -1e-12 * dim
+
+
 class TestPhaseDensity:
     def test_number_state_uniform(self):
         s = FockState.number_state(5)
