@@ -9,7 +9,6 @@ ships brute-force oracles plus a CLI for reproducible sweeps.
 """
 
 from .asymptotic import (
-    AsymptoticProblem,
     AsymptoticSpectrum,
     ComparisonReport,
     asymptotic_least_upper_bound,
@@ -47,14 +46,12 @@ from .oracles import (
     random_state_search,
 )
 from .povm import (
-    MatrixValidity,
     PhaseMatrix,
     conditional_probability,
     interval_probability,
     number_probability,
     phase_density,
     reduce,
-    validate_phase_matrix,
 )
 from .states import (
     FockState,
@@ -68,7 +65,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticProblem",
     "AsymptoticSpectrum",
     "ComparisonReport",
     "ConcentrationKernel",
@@ -78,7 +74,6 @@ __all__ = [
     "IncompatibleWindowError",
     "InternalConsistencyError",
     "InvalidMatrixError",
-    "MatrixValidity",
     "NegativeIndexError",
     "NoConvergenceError",
     "NumberWindow",
@@ -111,5 +106,4 @@ __all__ = [
     "random_state_search",
     "reduce",
     "second_eigenvalue_bound",
-    "validate_phase_matrix",
 ]

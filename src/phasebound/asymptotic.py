@@ -12,7 +12,9 @@ from a companion-matrix eigensolve, and each rule is built once per node
 count.  The symmetric nodes and the even kernel make the discretized matrix
 centrosymmetric, so it is solved through its even and odd half-blocks
 (``kernel.parity_blocks``), as the dense kernel is in ``kernel.eigensystem``.
-Where only eigenvalues are wanted, ``nystrom_eigenvalues`` forms no
+Both solvers take ``(xi, nodes)``: ``nystrom_spectrum`` returns eigenvalues,
+eigenfunction samples and the half-node error estimates, and
+``nystrom_eigenvalues``, where only eigenvalues are wanted, forms no
 eigenvectors.
 """
 
@@ -47,27 +49,8 @@ def concentration_parameter(delta_alpha: float, delta_k: int) -> float:
     return delta_alpha * (delta_k + 1) / TWO_PI
 
 
-@dataclass(frozen=True)
-class AsymptoticProblem:
-    """Sinc-kernel integral eigenproblem on [-1, 1] at a given resolution."""
-
-    xi: float
-    nodes: int
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.xi) or self.xi < 0.0:
-            raise DomainError(f"xi {self.xi} must be finite and >= 0")
-        if not isinstance(self.nodes, (int, np.integer)) or self.nodes < 2:
-            raise DomainError(f"nodes {self.nodes} must be an integer >= 2")
-        object.__setattr__(self, "xi", float(self.xi))
-        object.__setattr__(self, "nodes", int(self.nodes))
-
-    def kernel(self, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel; broadcasts over the arguments."""
-        return _sinc_kernel(self.xi, np.asarray(z, float), np.asarray(zp, float))
-
-
 def _sinc_kernel(xi: float, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """The sinc kernel at concentration ``xi``; broadcasts over the arguments."""
     c = 0.5 * np.pi * xi
     d = z - zp
     x = c * d
@@ -88,7 +71,6 @@ class AsymptoticSpectrum:
     eigenfunction_samples: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    node_count: int
     error_estimates: np.ndarray
 
 
@@ -163,7 +145,15 @@ def _nystrom_blocks(
     depends on ``z - z'`` and is even, so ``a = sqrt(w_i) K(z_i, z_j) sqrt(w_j)``
     is centrosymmetric and ``kernel.parity_blocks`` splits it.  Only the
     first ``n - n//2`` kernel rows are evaluated.
+
+    Raises DomainError unless ``xi`` is finite and >= 0 and ``nodes`` is an
+    integer >= 2.
     """
+    if not np.isfinite(xi) or xi < 0.0:
+        raise DomainError(f"xi {xi} must be finite and >= 0")
+    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
+        raise DomainError(f"nodes {nodes} must be an integer >= 2")
+    xi, nodes = float(xi), int(nodes)
     z, w = gauss_legendre(nodes)
     sw = np.sqrt(w)
     top = nodes - nodes // 2
@@ -180,10 +170,9 @@ def nystrom_eigenvalues(xi: float, nodes: int) -> np.ndarray:
     return vals[np.argsort(-vals, kind="stable")]
 
 
-def nystrom_spectrum(
-    problem: AsymptoticProblem, estimate_errors: bool = True
-) -> AsymptoticSpectrum:
-    """Solve the discretized eigenproblem at the problem's resolution.
+def nystrom_spectrum(xi: float, nodes: int) -> AsymptoticSpectrum:
+    """Solve the discretized eigenproblem at concentration ``xi`` with
+    ``nodes`` Gauss-Legendre nodes.
 
     The symmetrized matrix ``sqrt(w_i) K(z_i, z_j) sqrt(w_j)`` shares the
     operator's spectrum up to quadrature error.  It is solved through its
@@ -191,12 +180,12 @@ def nystrom_spectrum(
     is exactly even or odd about ``z = 0``; eigenfunction samples are
     recovered as ``v_i / sqrt(w_i)``.  Signs follow ``fix_signs``: the first
     largest-magnitude sample is positive, which for an odd eigenfunction,
-    whose mirrored extremes tie exactly, is the one at ``z < 0``.  With
-    ``estimate_errors`` a companion solve at half the nodes provides
-    per-eigenvalue error estimates.
+    whose mirrored extremes tie exactly, is the one at ``z < 0``.  A
+    companion solve at half the nodes provides per-eigenvalue error
+    estimates.
     """
-    n = problem.nodes
-    even, odd, z, w = _nystrom_blocks(problem.xi, n)
+    even, odd, z, w = _nystrom_blocks(xi, nodes)
+    n = z.size
     even_vals, even_vecs = np.linalg.eigh(even)
     odd_vals, odd_vecs = np.linalg.eigh(odd)
     vals = np.concatenate([even_vals, odd_vals])
@@ -206,14 +195,13 @@ def nystrom_spectrum(
     samples = fix_signs(vecs) / np.sqrt(w)[:, None]
 
     errors = np.full(n, np.nan)
-    if estimate_errors and n >= 4:
-        half_vals = nystrom_eigenvalues(problem.xi, n // 2)
-        shared = half_vals.size
-        errors[:shared] = np.abs(vals[:shared] - half_vals)
+    if n >= 4:
+        half_vals = nystrom_eigenvalues(xi, n // 2)
+        errors[: half_vals.size] = np.abs(vals[: half_vals.size] - half_vals)
 
     for arr in (vals, samples, z, w, errors):
         arr.flags.writeable = False
-    return AsymptoticSpectrum(vals, samples, z, w, n, errors)
+    return AsymptoticSpectrum(vals, samples, z, w, errors)
 
 
 def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:

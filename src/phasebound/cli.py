@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .asymptotic import (
-    AsymptoticProblem,
     asymptotic_least_upper_bound,
     concentration_parameter,
     nystrom_eigenvalues,
@@ -26,15 +25,10 @@ from .asymptotic import (
 from .errors import (
     ConvergenceFailureError,
     DomainError,
-    IncompatibleWindowError,
     InternalConsistencyError,
-    InvalidMatrixError,
-    NegativeIndexError,
     NoConvergenceError,
-    ZeroStateError,
 )
 from .kernel import (
-    build_kernel,
     cauchy_bound,
     eigensystem,
     leading_eigenpair,
@@ -353,14 +347,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if args.dalpha is None or args.dk is None:
             raise DomainError("the discrete form needs both --dalpha and --dk")
         dalpha = math.radians(args.dalpha) if args.degrees else args.dalpha
-        vals = eigensystem(build_kernel(dalpha, args.dk)).eigenvalues
+        vals = eigensystem(dalpha, args.dk).eigenvalues
         header, tail = "index,eigenvalue", ""
     else:
         if args.xi is None:
             raise DomainError("the continuum form needs --xi")
-        problem = AsymptoticProblem(args.xi, args.nodes if args.nodes is not None else 64)
-        vals = nystrom_eigenvalues(problem.xi, problem.nodes)
-        header, tail = "index,eigenvalue,nodes", f",{problem.nodes}"
+        nodes = args.nodes if args.nodes is not None else 64
+        vals = nystrom_eigenvalues(args.xi, nodes)
+        header, tail = "index,eigenvalue,nodes", f",{nodes}"
     rows = "\n".join(f"{i},{_FLOAT}{tail}" for i in range(vals.size)) % tuple(vals.tolist())
     out.write_text(f"{header}\n{rows}\n", encoding="ascii")
     return EXIT_OK
@@ -439,17 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DomainError,
-        ZeroStateError,
-        NegativeIndexError,
-        IncompatibleWindowError,
-        InvalidMatrixError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # the input errors all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceFailureError, NoConvergenceError, InternalConsistencyError) as exc:

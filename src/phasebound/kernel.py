@@ -144,14 +144,6 @@ class ConcentrationKernel:
     delta_k: int
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.delta_k + 1
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
 
 @dataclass(frozen=True)
 class SpectrumDiagnostics:
@@ -230,8 +222,9 @@ def parity_vectors(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def eigensystem(kernel: ConcentrationKernel) -> SpectrumResult:
-    """Full symmetric eigendecomposition, eigenvalues descending.
+def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
+    """Full symmetric eigendecomposition of the kernel (``build_kernel``),
+    eigenvalues descending.
 
     The kernel is solved through its even and odd half-blocks
     (``parity_blocks``), so every eigenvector is exactly even or odd.  Signs
@@ -243,8 +236,9 @@ def eigensystem(kernel: ConcentrationKernel) -> SpectrumResult:
     Raises ConvergenceFailureError when the residual target
     ``1e-12 * (dk+1)`` is missed.
     """
-    n = kernel.dim
-    blocks = parity_blocks(kernel.entries[: n - n // 2])
+    entries = build_kernel(delta_alpha, delta_k).entries
+    n = entries.shape[0]
+    blocks = parity_blocks(entries[: n - n // 2])
     solved = [np.linalg.eigh(block) for block in blocks]
     residual = orth = 0.0
     for block, (w, u) in zip(blocks, solved):
@@ -256,15 +250,15 @@ def eigensystem(kernel: ConcentrationKernel) -> SpectrumResult:
     vals = vals[order]
     vecs = fix_signs(parity_vectors(*(u for _, u in solved))[:, order])
 
-    if kernel.dim > 1:
+    if n > 1:
         gaps = -np.diff(vals)
         diag = SpectrumDiagnostics(residual, orth, float(gaps[0]), float(gaps.min()))
     else:
         diag = SpectrumDiagnostics(residual, orth, np.inf, np.inf)
 
-    if residual > 1e-12 * kernel.dim:
+    if residual > 1e-12 * n:
         raise ConvergenceFailureError(
-            f"eigensolve residual {residual:.3e} exceeds {1e-12 * kernel.dim:.3e}",
+            f"eigensolve residual {residual:.3e} exceeds {1e-12 * n:.3e}",
             diagnostics=diag,
         )
     vals.flags.writeable = False

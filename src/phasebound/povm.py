@@ -3,7 +3,9 @@
 The canonical measurement weights every number-basis coherence equally; its
 density for a pure state is ``|sum_n psi_n exp(-i n phi)|^2 / (2*pi)``, a
 polynomial in ``z = exp(-i phi)`` evaluated by Horner's rule in memory linear
-in the number of points.
+in the number of points.  Other covariant measurements are given by a
+``PhaseMatrix``, which checks when it is built that it defines one
+(positive semidefinite with unit diagonal), so every instance is valid.
 Interval probabilities are evaluated in closed form through the concentration
 kernel (the window integral of each Fourier mode has a sinc antiderivative),
 so no quadrature is involved outside the oracle module.
@@ -32,6 +34,17 @@ _CLAMP_TOL = 1e-12
 class PhaseMatrix:
     """Coefficients weighting number-basis coherences, over indices 0..dim-1.
 
+    Construction checks that the matrix defines a measurement: unit
+    diagonal, ``|c| <= 1``, Hermitian and positive semidefinite, each to
+    within rounding.  The measurement's operator density at ``phi`` is ``c``
+    conjugated by ``diag(exp(-i n phi))``, over ``2*pi``: it is positive at
+    every ``phi`` exactly when ``c`` is positive semidefinite, and
+    integrates to the identity exactly when the diagonal is 1.  Those two
+    conditions make ``c`` a measurement and imply the other two.  The lowest
+    eigenvalue is that of the Hermitian part ``(c + c^H)/2``; rounding may
+    put it up to ``_VALIDITY_TOL * dim`` below 0.  A failure raises
+    InvalidMatrixError naming the first offender of each failed check.
+
     ``is_canonical`` is set when every coefficient equals 1 exactly; the
     canonical measurement extends to arbitrary supports without a stored
     matrix.
@@ -41,12 +54,29 @@ class PhaseMatrix:
     is_canonical: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coefficients, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        c = np.array(self.coefficients, dtype=np.complex128)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
             raise ValueError("coefficients must form a non-empty square matrix")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
-        object.__setattr__(self, "is_canonical", bool(np.all(arr == 1.0)))
+        failures = []
+        diag_bad = np.abs(np.diagonal(c) - 1.0) > _VALIDITY_TOL
+        if diag_bad.any():
+            failures.append(f"diagonal != 1 first at n={int(np.argmax(diag_bad))}")
+        mod_bad = np.abs(c) > 1.0 + _VALIDITY_TOL
+        if mod_bad.any():
+            failures.append(f"|c| > 1 first at {tuple(np.argwhere(mod_bad)[0].tolist())}")
+        herm_bad = np.abs(c - c.conj().T) > _VALIDITY_TOL
+        if herm_bad.any():
+            failures.append(
+                f"not Hermitian first at {tuple(np.argwhere(herm_bad)[0].tolist())}"
+            )
+        lowest = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
+        if not lowest >= -_VALIDITY_TOL * c.shape[0]:
+            failures.append(f"not positive semidefinite: lowest eigenvalue {lowest:.3e}")
+        if failures:
+            raise InvalidMatrixError("; ".join(failures))
+        c.flags.writeable = False
+        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "is_canonical", bool(np.all(c == 1.0)))
 
     @property
     def dim(self) -> int:
@@ -59,90 +89,6 @@ class PhaseMatrix:
     @classmethod
     def identity(cls, dim: int) -> "PhaseMatrix":
         return cls(np.eye(dim, dtype=np.complex128))
-
-
-@dataclass(frozen=True)
-class MatrixValidity:
-    """Per-invariant report from validate_phase_matrix."""
-
-    unit_diagonal: bool
-    modulus_bound: bool
-    hermitian: bool
-    positive_semidefinite: bool
-    lowest_eigenvalue: float
-    first_bad_diagonal: Optional[int] = None
-    first_bad_modulus: Optional[tuple[int, int]] = None
-    first_bad_hermitian: Optional[tuple[int, int]] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.unit_diagonal
-            and self.modulus_bound
-            and self.hermitian
-            and self.positive_semidefinite
-        )
-
-    def describe(self) -> str:
-        if self.ok:
-            return "valid phase matrix"
-        parts = []
-        if not self.unit_diagonal:
-            parts.append(f"diagonal != 1 first at n={self.first_bad_diagonal}")
-        if not self.modulus_bound:
-            parts.append(f"|c| > 1 first at {self.first_bad_modulus}")
-        if not self.hermitian:
-            parts.append(f"not Hermitian first at {self.first_bad_hermitian}")
-        if not self.positive_semidefinite:
-            parts.append(
-                f"not positive semidefinite: lowest eigenvalue {self.lowest_eigenvalue:.3e}"
-            )
-        return "; ".join(parts)
-
-
-def validate_phase_matrix(matrix: PhaseMatrix) -> MatrixValidity:
-    """Check unit diagonal, |c| <= 1, Hermiticity and positive
-    semidefiniteness; report first offenders and the lowest eigenvalue.
-
-    The measurement's operator density at ``phi`` is ``c`` conjugated by
-    ``diag(exp(-i n phi))``, over ``2*pi``: it is positive at every ``phi``
-    exactly when ``c`` is positive semidefinite, and integrates to the
-    identity exactly when the diagonal is 1.  Those two conditions make
-    ``c`` a measurement and imply the other two.  The lowest eigenvalue is
-    that of the Hermitian part ``(c + c^H)/2``; rounding may put it up to
-    ``_VALIDITY_TOL * dim`` below 0.
-    """
-    c = matrix.coefficients
-
-    diag_bad = np.abs(np.diagonal(c) - 1.0) > _VALIDITY_TOL
-    unit_diagonal = not diag_bad.any()
-    first_diag = int(np.argmax(diag_bad)) if diag_bad.any() else None
-
-    mod_bad = np.abs(c) > 1.0 + _VALIDITY_TOL
-    modulus_bound = not mod_bad.any()
-    first_mod = None
-    if mod_bad.any():
-        n, m = np.unravel_index(int(np.argmax(mod_bad)), c.shape)
-        first_mod = (int(n), int(m))
-
-    herm_bad = np.abs(c - c.conj().T) > _VALIDITY_TOL
-    hermitian = not herm_bad.any()
-    first_herm = None
-    if herm_bad.any():
-        n, m = np.unravel_index(int(np.argmax(herm_bad)), c.shape)
-        first_herm = (int(n), int(m))
-
-    lowest = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
-    return MatrixValidity(
-        unit_diagonal,
-        modulus_bound,
-        hermitian,
-        lowest >= -_VALIDITY_TOL * matrix.dim,
-        lowest,
-        first_diag,
-        first_mod,
-        first_herm,
-    )
 
 
 def _clamp_probability(p: float) -> float:
@@ -165,8 +111,8 @@ def phase_density(
     ``matrix=None`` selects the canonical measurement, whose amplitude
     ``sum_j psi_j z^j`` at ``z = exp(-i phi)`` is taken by Horner's rule: one
     multiply-add per amplitude over the points, so memory is O(points) and no
-    exponential is taken per term.  A non-canonical matrix must pass
-    validation and cover the state's support.
+    exponential is taken per term.  A non-canonical matrix must cover the
+    state's support.
     """
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     if phi_arr.ndim != 1:
@@ -183,9 +129,6 @@ def phase_density(
             amp += coefficient
         dens = (amp.real**2 + amp.imag**2) / (2.0 * np.pi)
     else:
-        report = validate_phase_matrix(matrix)
-        if not report.ok:
-            raise InvalidMatrixError(report.describe())
         top = state.offset + state.size
         if top > matrix.dim:
             raise InvalidMatrixError(

@@ -63,16 +63,33 @@ class FockState:
         return cls(np.array([1.0 + 0.0j]), offset=n)
 
     @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "FockState":
-        try:
-            offset = obj["offset"]
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed state object: {exc}") from exc
-        if re.shape != im.shape:
+    def from_json(cls, obj: Any) -> "FockState":
+        """State from a document of ``schemas/state.schema.json``: an object
+        with exactly the keys ``offset``, an integer >= 0 (a float with an
+        integral value counts), and ``re`` and ``im``, non-empty arrays of
+        numbers, where a boolean is not a number.  Raises ValueError on any
+        other document, and where the schema cannot: on ``re`` and ``im`` of
+        different lengths or amplitudes that are not finite.
+        """
+        if not isinstance(obj, dict) or set(obj) != {"offset", "re", "im"}:
+            raise ValueError("malformed state object: need exactly offset, re and im")
+        offset, re, im = obj["offset"], obj["re"], obj["im"]
+        if isinstance(offset, float) and offset.is_integer():
+            offset = int(offset)
+        if not isinstance(offset, int) or isinstance(offset, bool):
+            raise ValueError(f"malformed state object: offset {offset!r} is not an integer")
+        for name, values in (("re", re), ("im", im)):
+            if not isinstance(values, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+            ):
+                raise ValueError(f"malformed state object: {name} is not an array of numbers")
+        if len(re) != len(im):
             raise ValueError("re and im must have the same length")
-        return cls(re + 1j * im, offset=offset)
+        try:
+            amplitudes = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError("amplitudes must be finite") from exc
+        return cls(amplitudes, offset=offset)
 
     def to_json(self) -> dict[str, Any]:
         return {

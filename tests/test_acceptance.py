@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from phasebound import (
-    AsymptoticProblem,
     NumberWindow,
     OracleConfig,
     PhaseWindow,
     asymptotic_least_upper_bound,
-    build_kernel,
     cauchy_bound,
     compare_discrete_to_asymptotic,
     conditional_probability,
@@ -88,13 +86,13 @@ def test_criterion_2_precision_product_bound(capsys):
 def test_criterion_3_trace_identity(capsys):
     worst_discrete = 0.0
     for da, dk in GRID:
-        total = float(np.sum(eigensystem(build_kernel(da, dk)).eigenvalues))
+        total = float(np.sum(eigensystem(da, dk).eigenvalues))
         worst_discrete = max(worst_discrete, abs(total - (dk + 1) * da / TWO_PI))
     worst_nystrom = 0.0
     xis = sorted({da * (dk + 1) / TWO_PI for da, dk in GRID})
     for xi in xis:
         for nodes in (64, 128):
-            spec = nystrom_spectrum(AsymptoticProblem(xi, nodes), estimate_errors=False)
+            spec = nystrom_spectrum(xi, nodes)
             worst_nystrom = max(worst_nystrom, abs(float(np.sum(spec.eigenvalues)) - xi))
     ok = worst_discrete < 1e-10 and worst_nystrom < 1e-10
     verdict(
@@ -159,8 +157,8 @@ def test_criterion_7_asymptotic_behavior(capsys):
     saturated = asymptotic_least_upper_bound(4.0)[0]
     two_res = max(
         abs(
-            nystrom_spectrum(AsymptoticProblem(xi, 64), estimate_errors=False).eigenvalues[0]
-            - nystrom_spectrum(AsymptoticProblem(xi, 128), estimate_errors=False).eigenvalues[0]
+            nystrom_spectrum(xi, 64).eigenvalues[0]
+            - nystrom_spectrum(xi, 128).eigenvalues[0]
         )
         for xi in xis
     )

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from phasebound import (
-    AsymptoticProblem,
     DomainError,
     NoConvergenceError,
     asymptotic_least_upper_bound,
-    build_kernel,
     compare_discrete_to_asymptotic,
     concentration_parameter,
     eigensystem,
     nystrom_spectrum,
 )
-from phasebound.asymptotic import gauss_legendre, nystrom_eigenvalues
+from phasebound.asymptotic import _sinc_kernel, gauss_legendre, nystrom_eigenvalues
 from conftest import TWO_PI
 
 XI_GRID = tuple(0.25 * k for k in range(1, 17))  # 0.25 .. 4.0
@@ -35,90 +33,87 @@ class TestConcentrationParameter:
 
 class TestAsymptoticProblem:
     def test_kernel_symmetry_and_diagonal(self):
-        prob = AsymptoticProblem(1.5, 16)
         z = np.linspace(-1.0, 1.0, 9)
-        k = prob.kernel(z[:, None], z[None, :])
+        k = _sinc_kernel(1.5, z[:, None], z[None, :])
         assert np.allclose(k, k.T, atol=1e-15)
         assert np.allclose(np.diagonal(k), 1.5 / 2.0, atol=1e-15)
 
     def test_continuum_trace(self):
         # integral of the constant diagonal over [-1, 1] equals xi
-        prob = AsymptoticProblem(0.8, 8)
-        assert 2.0 * prob.kernel(np.array(0.3), np.array(0.3)) == pytest.approx(0.8)
+        assert 2.0 * _sinc_kernel(0.8, np.array(0.3), np.array(0.3)) == pytest.approx(0.8)
 
     def test_taylor_switch_is_continuous(self):
         # series branch below |x| = 1e-4 must match the direct sinc there
-        prob = AsymptoticProblem(2.0, 8)
         c = 0.5 * np.pi * 2.0
         for factor in (0.2, 0.9, 0.999):
             d = factor * 1e-4 / c
             x = c * d
             direct = np.sin(x) / (np.pi * d)
-            assert float(prob.kernel(np.array(d), np.array(0.0))) == pytest.approx(
+            assert float(_sinc_kernel(2.0, np.array(d), np.array(0.0))) == pytest.approx(
                 direct, abs=1e-15
             )
-        assert prob.kernel(np.array(0.0), np.array(0.0)) == pytest.approx(1.0)
+        assert _sinc_kernel(2.0, np.array(0.0), np.array(0.0)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("xi,nodes", [(-0.5, 8), (1.0, 1), (np.nan, 8), (1.0, 2.5)])
     def test_domain(self, xi, nodes):
-        with pytest.raises(DomainError):
-            AsymptoticProblem(xi, nodes)
+        for solve in (nystrom_eigenvalues, nystrom_spectrum):
+            with pytest.raises(DomainError):
+                solve(xi, nodes)
 
 
 class TestNystromSpectrum:
     def test_zero_concentration(self):
-        spec = nystrom_spectrum(AsymptoticProblem(0.0, 16))
+        spec = nystrom_spectrum(0.0, 16)
         assert np.allclose(spec.eigenvalues, 0.0, atol=1e-15)
 
     def test_weighted_diagonal_trace(self):
-        spec = nystrom_spectrum(AsymptoticProblem(1.0, 64))
-        prob = AsymptoticProblem(1.0, 64)
-        diag = prob.kernel(spec.nodes, spec.nodes)
+        spec = nystrom_spectrum(1.0, 64)
+        diag = _sinc_kernel(1.0, spec.nodes, spec.nodes)
         assert np.dot(spec.weights, diag) == pytest.approx(1.0, abs=1e-13)
 
     def test_two_resolution_agreement(self):
-        lam64 = nystrom_spectrum(AsymptoticProblem(1.0, 64)).eigenvalues[0]
-        lam128 = nystrom_spectrum(AsymptoticProblem(1.0, 128)).eigenvalues[0]
+        lam64 = nystrom_spectrum(1.0, 64).eigenvalues[0]
+        lam128 = nystrom_spectrum(1.0, 128).eigenvalues[0]
         assert abs(lam64 - lam128) < 1e-10
 
     def test_error_estimates_cover_leading_eigenvalues(self):
-        spec = nystrom_spectrum(AsymptoticProblem(1.0, 32))
+        spec = nystrom_spectrum(1.0, 32)
         assert np.all(np.isfinite(spec.error_estimates[:16]))
         assert spec.error_estimates[0] < 1e-10
 
     def test_eigenvalue_sum_matches_concentration(self):
         for xi in (0.5, 1.0, 2.5, 4.0):
             for nodes in (64, 128):
-                spec = nystrom_spectrum(AsymptoticProblem(xi, nodes), estimate_errors=False)
+                spec = nystrom_spectrum(xi, nodes)
                 assert np.sum(spec.eigenvalues) == pytest.approx(xi, abs=1e-10)
                 assert np.all(spec.eigenvalues <= 1.0 + 1e-12)
                 assert np.all(spec.eigenvalues >= -1e-12)
 
     def test_eigenfunction_parity(self):
         # eigenfunctions alternate parity about z = 0; check the well-separated ones
-        spec = nystrom_spectrum(AsymptoticProblem(1.0, 64))
+        spec = nystrom_spectrum(1.0, 64)
         for nu in range(5):
             samples = spec.eigenfunction_samples[:, nu]
             mirrored = samples[::-1] * (-1.0) ** nu
             assert np.max(np.abs(samples - mirrored)) < 1e-8
 
     def test_spectral_decay(self):
-        vals = nystrom_spectrum(AsymptoticProblem(1.0, 64)).eigenvalues
+        vals = nystrom_spectrum(1.0, 64).eigenvalues
         lead = vals[:8]
         assert np.all(np.diff(lead) < 0.0)
         assert vals[3] < 1e-3
 
     def test_plunge_matches_discrete_route(self):
         # same operator through the uniform-support matrix at dk = 500
-        disc = eigensystem(build_kernel(TWO_PI / 501.0, 500)).eigenvalues
-        nys = nystrom_spectrum(AsymptoticProblem(1.0, 64)).eigenvalues
+        disc = eigensystem(TWO_PI / 501.0, 500).eigenvalues
+        nys = nystrom_spectrum(1.0, 64).eigenvalues
         assert abs(nys[3] - disc[3]) / disc[3] < 0.10
 
 
-def dense_weighted_matrix(problem, z, w):
+def dense_weighted_matrix(xi, z, w):
     """The full symmetrized Nystrom matrix sqrt(w_i) K(z_i, z_j) sqrt(w_j)."""
     sw = np.sqrt(w)
-    a = sw[:, None] * problem.kernel(z[:, None], z[None, :]) * sw[None, :]
+    a = sw[:, None] * _sinc_kernel(xi, z[:, None], z[None, :]) * sw[None, :]
     return 0.5 * (a + a.T)
 
 
@@ -126,9 +121,8 @@ class TestParitySolve:
     @pytest.mark.parametrize("nodes", [2, 3, 64, 65, 1025])
     def test_matches_dense_solve(self, nodes):
         for xi in (0.5, 3.0):
-            problem = AsymptoticProblem(xi, nodes)
-            spec = nystrom_spectrum(problem, estimate_errors=False)
-            a = dense_weighted_matrix(problem, spec.nodes, spec.weights)
+            spec = nystrom_spectrum(xi, nodes)
+            a = dense_weighted_matrix(xi, spec.nodes, spec.weights)
             dense = np.sort(np.linalg.eigvalsh(a))[::-1]
             assert np.max(np.abs(spec.eigenvalues - dense)) < 1e-14
             vecs = spec.eigenfunction_samples * np.sqrt(spec.weights)[:, None]
@@ -137,7 +131,7 @@ class TestParitySolve:
 
     @pytest.mark.parametrize("nodes", [2, 3, 64, 65])
     def test_separated_eigenfunctions_have_parity(self, nodes):
-        spec = nystrom_spectrum(AsymptoticProblem(1.7, nodes))
+        spec = nystrom_spectrum(1.7, nodes)
         vals = spec.eigenvalues
         gaps = np.abs(np.diff(vals))
         gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))

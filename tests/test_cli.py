@@ -331,6 +331,26 @@ class TestDistribution:
         ]
         assert main(argv) == 2
 
+    def test_boolean_offset_exit_code(self, tmp_path, capsys):
+        # the state schema counts no boolean as an integer
+        st = self.write_state(tmp_path, [1.0, 1.0], [0.0, 0.0], offset=True)
+        argv = [
+            "distribution", "--state", str(st), "--dalpha", "1.0",
+            "--output", str(tmp_path / "d.csv"),
+        ]
+        assert main(argv) == 2
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_oversized_integer_amplitude_exit_code(self, tmp_path, capsys):
+        # a valid JSON number, but beyond the float range
+        st = self.write_state(tmp_path, [10**400], [0])
+        argv = [
+            "distribution", "--state", str(st), "--dalpha", "1.0",
+            "--output", str(tmp_path / "d.csv"),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: amplitudes must be finite\n"
+
     def test_missing_state_file(self, tmp_path, capsys):
         argv = [
             "distribution", "--state", str(tmp_path / "absent.json"),
@@ -390,7 +410,7 @@ class TestSpectrum:
         assert main(argv) == 0
         _, rows = read_csv(out)
         vals = np.array([float(c[1]) for c in rows])
-        library = phasebound.nystrom_spectrum(phasebound.AsymptoticProblem(1.7, 1024))
+        library = phasebound.nystrom_spectrum(1.7, 1024)
         assert np.max(np.abs(vals - library.eigenvalues)) <= 4e-15
         assert np.all(np.diff(vals) <= 0.0)
 
@@ -416,6 +436,22 @@ class TestSpectrum:
     def test_half_specified_discrete_rejected(self, tmp_path, capsys):
         argv = ["spectrum", "--dalpha", "1", "--output", str(tmp_path / "s.csv")]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--xi", "-1"], "xi -1.0 must be finite and >= 0"),
+            (["--xi", "nan"], "xi nan must be finite and >= 0"),
+            (["--xi", "1", "--nodes", "1"], "nodes 1 must be an integer >= 2"),
+            (["--nodes", "64"], "the continuum form needs --xi"),
+        ],
+        ids=["negative-xi", "nan-xi", "one-node", "no-xi"],
+    )
+    def test_continuum_input_rejected(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_parser_built_once():

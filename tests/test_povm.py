@@ -1,5 +1,6 @@
 """Covariant phase measurement layer: densities, probabilities, reduction."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from phasebound import (
     phase_shift,
     quadrature_probability,
     reduce,
-    validate_phase_matrix,
 )
 from conftest import TWO_PI, random_states
 
@@ -46,51 +46,46 @@ def circle_integral(f, points=4096):
 
 class TestValidatePhaseMatrix:
     def test_canonical_passes(self):
-        report = validate_phase_matrix(PhaseMatrix.canonical(4))
-        assert report.ok
+        assert PhaseMatrix.canonical(4).is_canonical
 
     def test_identity_passes(self):
         # all phase information lost, but zero off-diagonals are allowed
-        assert validate_phase_matrix(PhaseMatrix.identity(3)).ok
+        assert PhaseMatrix.identity(3).dim == 3
 
     def test_broken_diagonal(self):
         c = np.ones((2, 2), dtype=complex)
         c[0, 0] = 0.5
-        report = validate_phase_matrix(PhaseMatrix(c))
-        assert not report.ok
-        assert not report.unit_diagonal
-        assert report.first_bad_diagonal == 0
+        with pytest.raises(InvalidMatrixError, match=re.escape("diagonal != 1 first at n=0")):
+            PhaseMatrix(c)
 
     def test_modulus_violation(self):
         c = np.ones((2, 2), dtype=complex)
         c[0, 1] = c[1, 0] = 1.5
-        report = validate_phase_matrix(PhaseMatrix(c))
-        assert not report.modulus_bound
-        assert report.first_bad_modulus == (0, 1)
+        with pytest.raises(InvalidMatrixError, match=re.escape("|c| > 1 first at (0, 1)")):
+            PhaseMatrix(c)
 
     def test_hermiticity_violation(self):
         c = np.ones((2, 2), dtype=complex)
         c[0, 1] = 0.5j
         c[1, 0] = 0.5j
-        report = validate_phase_matrix(PhaseMatrix(c))
-        assert not report.hermitian
-        assert report.first_bad_hermitian == (0, 1)
+        with pytest.raises(InvalidMatrixError, match=re.escape("not Hermitian first at (0, 1)")):
+            PhaseMatrix(c)
 
     def test_describe_mentions_failure(self):
         c = np.ones((2, 2), dtype=complex)
         c[1, 1] = 0.0
-        assert "n=1" in validate_phase_matrix(PhaseMatrix(c)).describe()
-
+        with pytest.raises(InvalidMatrixError, match="n=1"):
+            PhaseMatrix(c)
 
     def test_indefinite_matrix_refused(self):
         # Hermitian, unit diagonal, |c| <= 1, yet eigenvalues -1, 2, 2: the
         # uniform state's density would reach -1/(2*pi) at phi = pi
         c = np.array([[1, 1, -1], [1, 1, 1], [-1, 1, 1]], dtype=complex)
-        report = validate_phase_matrix(PhaseMatrix(c))
-        assert report.unit_diagonal and report.modulus_bound and report.hermitian
-        assert not report.positive_semidefinite and not report.ok
-        assert report.lowest_eigenvalue == pytest.approx(-1.0, abs=1e-14)
-        assert "lowest eigenvalue -1.000e+00" in report.describe()
+        with pytest.raises(
+            InvalidMatrixError,
+            match=r"^not positive semidefinite: lowest eigenvalue -1\.000e\+00$",
+        ):
+            PhaseMatrix(c)
         with pytest.raises(InvalidMatrixError, match="positive semidefinite"):
             phase_density(TRIPLE, PhaseMatrix(c), np.pi)
 
@@ -98,9 +93,7 @@ class TestValidatePhaseMatrix:
     def test_canonical_and_identity_are_positive_semidefinite(self, dim):
         # eigenvalues 0 and dim, and all 1
         for matrix in (PhaseMatrix.canonical(dim), PhaseMatrix.identity(dim)):
-            report = validate_phase_matrix(matrix)
-            assert report.positive_semidefinite and report.ok
-            assert report.lowest_eigenvalue >= -1e-12 * dim
+            assert matrix.dim == dim
 
 
 class TestPhaseDensity:

@@ -1,5 +1,9 @@
 """State and window value types plus their symmetry transforms."""
 
+import json
+from importlib.resources import files
+
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -139,6 +143,44 @@ class TestFockState:
     def test_from_json_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             FockState.from_json({"offset": 0, "re": [1.0, 2.0], "im": [0.0]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            FockState([1.0 + 2.0j, -0.5], offset=3).to_json(),
+            FockState.number_state(0).to_json(),
+            {"offset": 0, "re": [1, 0], "im": [0, -2]},
+            {"offset": 1.0, "re": [1.0, 1.0], "im": [0.0, 0.0]},
+            {"offset": True, "re": [1.0, 1.0], "im": [0.0, 0.0]},
+            {"offset": 1.5, "re": [1.0], "im": [0.0]},
+            {"offset": "1", "re": [1.0], "im": [0.0]},
+            {"offset": None, "re": [1.0], "im": [0.0]},
+            {"offset": -1, "re": [1.0], "im": [0.0]},
+            {"offset": -1.0, "re": [1.0], "im": [0.0]},
+            {"offset": 0, "re": [True], "im": [0.0]},
+            {"offset": 0, "re": ["1.0"], "im": [0.0]},
+            {"offset": 0, "re": [None], "im": [0.0]},
+            {"offset": 0, "re": [[1.0]], "im": [[0.0]]},
+            {"offset": 0, "re": 1.0, "im": 0.0},
+            {"offset": 0, "re": [], "im": []},
+            {"offset": 0, "re": [1.0], "im": [0.0], "note": "x"},
+            {"offset": 0, "re": [1.0]},
+            [0, [1.0], [0.0]],
+            "state",
+        ],
+    )
+    def test_from_json_agrees_with_schema(self, doc):
+        # beyond the schema, from_json also refuses re and im of different
+        # lengths and non-finite amplitudes; no document here has either
+        schema = json.loads((files("phasebound") / "schemas" / "state.schema.json").read_text())
+        valid = jsonschema.Draft202012Validator(schema).is_valid(doc)
+        try:
+            FockState.from_json(doc)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == valid
 
 
 class TestPhaseWindow:
