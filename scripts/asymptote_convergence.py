@@ -1,24 +1,33 @@
 #!/usr/bin/env python3
 """How fast the finite-support bound approaches its infinite-precision limit.
 
-For a fixed concentration parameter the discrete kernel and the Nystrom
-discretization solve the same operator two different ways; the table shows
-their difference shrinking as the support grows.
+For a fixed concentration parameter the discrete kernel at
+``dalpha = 2*pi*xi/(dk+1)`` and the Nystrom discretization solve the same
+operator two different ways; the table shows their difference shrinking as
+the support grows.  The last column, ``(dk+1)^2 * difference``, settles to
+the constant ``C(xi)`` of the ``1/(dk+1)^2`` approach.
 """
 
 import argparse
+import math
 
-from phasebound import compare_discrete_to_asymptotic
+from phasebound import asymptotic_least_upper_bound, least_upper_bound
 
 
 def run(xi: float, dks: list[int]) -> None:
+    asymptote, _ = asymptotic_least_upper_bound(xi)
     print(f"xi = {xi}")
-    print(f"{'dk':>6}  {'dalpha':>12}  {'lambda0':>20}  {'asymptote':>20}  {'difference':>12}")
+    print(
+        f"{'dk':>6}  {'dalpha':>12}  {'lambda0':>20}  {'asymptote':>20}  "
+        f"{'difference':>12}  {'(dk+1)^2*diff':>13}"
+    )
     for dk in dks:
-        rep = compare_discrete_to_asymptotic(xi, dk)
+        dalpha = 2.0 * math.pi * xi / (dk + 1)
+        lam, _ = least_upper_bound(dalpha, dk)
+        diff = lam - asymptote
         print(
-            f"{dk:>6}  {rep.delta_alpha:>12.6f}  {rep.lambda0_discrete:>20.15f}  "
-            f"{rep.lambda0_asymptotic:>20.15f}  {rep.difference:>12.3e}"
+            f"{dk:>6}  {dalpha:>12.6f}  {lam:>20.15f}  "
+            f"{asymptote:>20.15f}  {diff:>12.3e}  {(dk + 1) ** 2 * diff:>13.4f}"
         )
 
 

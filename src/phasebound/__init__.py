@@ -9,12 +9,9 @@ ships brute-force oracles plus a CLI for reproducible sweeps.
 """
 
 from .asymptotic import (
-    AsymptoticSpectrum,
-    ComparisonReport,
     asymptotic_least_upper_bound,
-    compare_discrete_to_asymptotic,
     concentration_parameter,
-    nystrom_spectrum,
+    nystrom_eigenvalues,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -65,8 +62,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticSpectrum",
-    "ComparisonReport",
     "ConcentrationKernel",
     "ConvergenceFailureError",
     "DomainError",
@@ -88,7 +83,6 @@ __all__ = [
     "asymptotic_least_upper_bound",
     "build_kernel",
     "cauchy_bound",
-    "compare_discrete_to_asymptotic",
     "concentration_parameter",
     "conditional_probability",
     "eigensystem",
@@ -98,7 +92,7 @@ __all__ = [
     "normalize",
     "number_probability",
     "number_shift",
-    "nystrom_spectrum",
+    "nystrom_eigenvalues",
     "phase_density",
     "phase_shift",
     "power_iteration",

@@ -12,27 +12,20 @@ from a companion-matrix eigensolve, and each rule is built once per node
 count.  The symmetric nodes and the even kernel make the discretized matrix
 centrosymmetric, so it is solved through its even and odd half-blocks
 (``kernel.parity_blocks``), as the dense kernel is in ``kernel.eigensystem``.
-Both solvers take ``(xi, nodes)``: ``nystrom_spectrum`` returns eigenvalues,
-eigenfunction samples and the half-node error estimates, and
-``nystrom_eigenvalues``, where only eigenvalues are wanted, forms no
-eigenvectors.
+The module answers two questions: ``nystrom_eigenvalues`` gives the
+eigenvalues at ``(xi, nodes)``, from the two blocks and with no eigenvectors
+formed, and ``asymptotic_least_upper_bound`` gives the top eigenvalue with
+its node-doubling error estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NoConvergenceError
-from .kernel import (
-    check_domain,
-    fix_signs,
-    least_upper_bound,
-    parity_blocks,
-    parity_vectors,
-)
+from .kernel import check_domain, parity_blocks
 from .states import TWO_PI
 
 _REFINE_TOL = 1e-10
@@ -60,18 +53,6 @@ def _sinc_kernel(xi: float, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = np.sin(x) / (np.pi * np.where(small, 1.0, d))
     return np.where(small, series, direct)
-
-
-@dataclass(frozen=True)
-class AsymptoticSpectrum:
-    """Nystrom spectrum: eigenvalues descending, eigenfunction samples as
-    matching columns at the quadrature nodes."""
-
-    eigenvalues: np.ndarray
-    eigenfunction_samples: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    error_estimates: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -135,11 +116,8 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, n * (x * cur - prev) / (x * x - 1.0)
 
 
-def _nystrom_blocks(
-    xi: float, nodes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Even and odd half-blocks of the weighted Nystrom matrix, with the nodes
-    and weights of the Gauss-Legendre rule.
+def _nystrom_blocks(xi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd half-blocks of the weighted Nystrom matrix.
 
     Gauss-Legendre nodes are symmetric (``z[n-1-i] = -z[i]``) and the kernel
     depends on ``z - z'`` and is even, so ``a = sqrt(w_i) K(z_i, z_j) sqrt(w_j)``
@@ -158,50 +136,15 @@ def _nystrom_blocks(
     sw = np.sqrt(w)
     top = nodes - nodes // 2
     rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]
-    even, odd = parity_blocks(rows)
-    return even, odd, z, w
+    return parity_blocks(rows)
 
 
 def nystrom_eigenvalues(xi: float, nodes: int) -> np.ndarray:
     """Nystrom eigenvalues, descending, from ``eigvalsh`` on the two parity
     blocks; no eigenvectors are formed."""
-    even, odd, _, _ = _nystrom_blocks(xi, nodes)
+    even, odd = _nystrom_blocks(xi, nodes)
     vals = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
     return vals[np.argsort(-vals, kind="stable")]
-
-
-def nystrom_spectrum(xi: float, nodes: int) -> AsymptoticSpectrum:
-    """Solve the discretized eigenproblem at concentration ``xi`` with
-    ``nodes`` Gauss-Legendre nodes.
-
-    The symmetrized matrix ``sqrt(w_i) K(z_i, z_j) sqrt(w_j)`` shares the
-    operator's spectrum up to quadrature error.  It is solved through its
-    even and odd half-blocks (see ``_nystrom_blocks``), so every eigenvector
-    is exactly even or odd about ``z = 0``; eigenfunction samples are
-    recovered as ``v_i / sqrt(w_i)``.  Signs follow ``fix_signs``: the first
-    largest-magnitude sample is positive, which for an odd eigenfunction,
-    whose mirrored extremes tie exactly, is the one at ``z < 0``.  A
-    companion solve at half the nodes provides per-eigenvalue error
-    estimates.
-    """
-    even, odd, z, w = _nystrom_blocks(xi, nodes)
-    n = z.size
-    even_vals, even_vecs = np.linalg.eigh(even)
-    odd_vals, odd_vecs = np.linalg.eigh(odd)
-    vals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = parity_vectors(even_vecs, odd_vecs)[:, order]
-    samples = fix_signs(vecs) / np.sqrt(w)[:, None]
-
-    errors = np.full(n, np.nan)
-    if n >= 4:
-        half_vals = nystrom_eigenvalues(xi, n // 2)
-        errors[: half_vals.size] = np.abs(vals[: half_vals.size] - half_vals)
-
-    for arr in (vals, samples, z, w, errors):
-        arr.flags.writeable = False
-    return AsymptoticSpectrum(vals, samples, z, w, errors)
 
 
 def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
@@ -209,10 +152,9 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
 
     Doubles the node count from 32 until two successive values agree to
     1e-10, capping at 4096 nodes.  Raises NoConvergenceError when the cap is
-    reached and the last refinement still moved by 1e-8 or more.
+    reached and the last refinement still moved by 1e-8 or more, and
+    DomainError (from ``_nystrom_blocks``) unless ``xi`` is finite and >= 0.
     """
-    if not np.isfinite(xi) or xi < 0.0:
-        raise DomainError(f"xi {xi} must be finite and >= 0")
     if xi == 0.0:
         return 0.0, 0.0
 
@@ -221,7 +163,7 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
     diff = np.inf
     lam = 0.0
     while nodes <= _MAX_NODES:
-        lam = float(nystrom_eigenvalues(float(xi), nodes)[0])
+        lam = float(nystrom_eigenvalues(xi, nodes)[0])
         if prev is not None:
             diff = abs(lam - prev)
             if diff < _REFINE_TOL:
@@ -233,44 +175,3 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
             f"top eigenvalue still moving by {diff:.3e} at {_MAX_NODES} nodes"
         )
     return lam, float(diff)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Finite-support bound against its infinite-precision limit."""
-
-    xi: float
-    delta_k: int
-    delta_alpha: float
-    lambda0_discrete: float
-    lambda0_asymptotic: float
-    asymptotic_error: float
-    difference: float  # signed, discrete - asymptotic
-
-
-def compare_discrete_to_asymptotic(xi: float, delta_k: int) -> ComparisonReport:
-    """Solve both discretizations of the same operator at fixed ``xi``.
-
-    Sets ``dalpha = 2*pi*xi/(dk+1)``; raises DomainError when that exceeds
-    2*pi (i.e. xi > dk+1).
-    """
-    if not np.isfinite(xi) or xi <= 0.0:
-        raise DomainError(f"xi {xi} must be finite and > 0")
-    if not isinstance(delta_k, (int, np.integer)) or delta_k < 0:
-        raise DomainError(f"dk {delta_k} must be an integer >= 0")
-    delta_alpha = TWO_PI * xi / (delta_k + 1)
-    if delta_alpha > TWO_PI:
-        raise DomainError(
-            f"xi {xi} with dk {delta_k} implies dalpha {delta_alpha} > 2*pi"
-        )
-    lam_disc, _ = least_upper_bound(delta_alpha, int(delta_k))
-    lam_asym, err = asymptotic_least_upper_bound(xi)
-    return ComparisonReport(
-        xi=float(xi),
-        delta_k=int(delta_k),
-        delta_alpha=float(delta_alpha),
-        lambda0_discrete=lam_disc,
-        lambda0_asymptotic=lam_asym,
-        asymptotic_error=err,
-        difference=lam_disc - lam_asym,
-    )

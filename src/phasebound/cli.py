@@ -45,6 +45,7 @@ EXIT_NUMERIC = 3
 
 _SKIP_NOTE = "skipped: dalpha exceeds 2*pi"
 _POWER_SKIP_NOTE = "comparison skipped: gap-degenerate or slow"
+_CONFIG_KEYS = ("dk", "xi_start", "xi_stop", "xi_step", "format", "output", "x_axis")
 _CURVE_COLUMNS = ("xi", "dk", "dalpha", "lambda0", "cauchy_bound", "asym_error", "note")
 
 
@@ -361,7 +362,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """Read key = value lines; '#' starts a comment, blanks are skipped."""
+    """Read key = value lines; '#' starts a comment, blanks are skipped.
+
+    A key outside ``_CONFIG_KEYS`` raises DomainError, so a misspelt setting
+    is refused rather than left at its default.
+    """
     settings: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -373,8 +378,10 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        settings[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        settings[key] = value
     return settings
 
 

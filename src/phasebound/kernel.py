@@ -10,14 +10,15 @@ attains it.
 Two solvers answer two questions.  ``eigensystem`` is the dense full-spectrum
 solve, O(dk^3).  The kernel is centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``),
 so it maps even and odd sequences to themselves, and ``eigensystem`` solves
-its even and odd half-blocks (``parity_blocks``, ``parity_vectors``; the
-Nystrom matrix of ``asymptotic`` uses the same pair), two dense solves of
-half the size.  ``leading_eigenpair`` returns the top (or second) pair in
-O(dk log dk) without forming the kernel: the kernel is the discrete prolate
-matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and it commutes with Slepian's
-tridiagonal matrix (Slepian 1978, "Prolate spheroidal wave functions, Fourier
-analysis, and uncertainty V: the discrete case", BSTJ 57), whose eigenvalues
-are well separated where the kernel's cluster near 1.  ``_top_eigenvector``
+its even and odd half-blocks (``parity_blocks``; ``parity_vectors`` maps
+their eigenvectors back, and ``asymptotic`` splits its Nystrom matrix the
+same way), two dense solves of half the size.  ``leading_eigenpair``
+returns the top (or second) pair in O(dk log dk) without forming the
+kernel: the kernel is the discrete prolate matrix with ``M = dk+1``,
+``W = dalpha/(4*pi)``, and it commutes with Slepian's tridiagonal matrix
+(Slepian 1978, "Prolate spheroidal wave functions, Fourier analysis, and
+uncertainty V: the discrete case", BSTJ 57), whose eigenvalues are well
+separated where the kernel's cluster near 1.  ``_top_eigenvector``
 isolates the top eigenvalue of one parity block of that matrix by Sturm
 bisection and finishes the pair by Rayleigh-quotient inverse iteration, in
 about 22 pure-Python O(dk) sweeps where bisection to rounding took 52.

@@ -13,7 +13,7 @@ so no quadrature is involved outside the oracle module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -45,13 +45,13 @@ class PhaseMatrix:
     put it up to ``_VALIDITY_TOL * dim`` below 0.  A failure raises
     InvalidMatrixError naming the first offender of each failed check.
 
-    ``is_canonical`` is set when every coefficient equals 1 exactly; the
-    canonical measurement extends to arbitrary supports without a stored
-    matrix.
+    ``is_canonical`` is derived, never passed: it is set when every
+    coefficient equals 1 exactly; the canonical measurement extends to
+    arbitrary supports without a stored matrix.
     """
 
     coefficients: np.ndarray
-    is_canonical: bool = False
+    is_canonical: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         c = np.array(self.coefficients, dtype=np.complex128)

@@ -15,13 +15,12 @@ from phasebound import (
     PhaseWindow,
     asymptotic_least_upper_bound,
     cauchy_bound,
-    compare_discrete_to_asymptotic,
     conditional_probability,
     eigensystem,
     interval_probability,
     least_upper_bound,
     number_shift,
-    nystrom_spectrum,
+    nystrom_eigenvalues,
     phase_density,
     phase_shift,
     power_iteration,
@@ -92,8 +91,8 @@ def test_criterion_3_trace_identity(capsys):
     xis = sorted({da * (dk + 1) / TWO_PI for da, dk in GRID})
     for xi in xis:
         for nodes in (64, 128):
-            spec = nystrom_spectrum(xi, nodes)
-            worst_nystrom = max(worst_nystrom, abs(float(np.sum(spec.eigenvalues)) - xi))
+            vals = nystrom_eigenvalues(xi, nodes)
+            worst_nystrom = max(worst_nystrom, abs(float(np.sum(vals)) - xi))
     ok = worst_discrete < 1e-10 and worst_nystrom < 1e-10
     verdict(
         capsys,
@@ -135,8 +134,9 @@ def test_criterion_5_supremum_soundness(capsys):
 
 def test_criterion_6_discrete_to_asymptotic(capsys):
     start = time.perf_counter()
+    asymptote = asymptotic_least_upper_bound(1.0)[0]
     diffs = [
-        abs(compare_discrete_to_asymptotic(1.0, dk).difference) for dk in (10, 50, 200)
+        abs(least_upper_bound(TWO_PI / (dk + 1), dk)[0] - asymptote) for dk in (10, 50, 200)
     ]
     elapsed = time.perf_counter() - start
     ok = diffs[2] < 1e-3 and diffs[0] > diffs[1] > diffs[2] and elapsed < 30.0
@@ -157,8 +157,8 @@ def test_criterion_7_asymptotic_behavior(capsys):
     saturated = asymptotic_least_upper_bound(4.0)[0]
     two_res = max(
         abs(
-            nystrom_spectrum(xi, 64).eigenvalues[0]
-            - nystrom_spectrum(xi, 128).eigenvalues[0]
+            nystrom_eigenvalues(xi, 64)[0]
+            - nystrom_eigenvalues(xi, 128)[0]
         )
         for xi in xis
     )

@@ -7,12 +7,12 @@ from phasebound import (
     DomainError,
     NoConvergenceError,
     asymptotic_least_upper_bound,
-    compare_discrete_to_asymptotic,
     concentration_parameter,
     eigensystem,
-    nystrom_spectrum,
+    least_upper_bound,
+    nystrom_eigenvalues,
 )
-from phasebound.asymptotic import _sinc_kernel, gauss_legendre, nystrom_eigenvalues
+from phasebound.asymptotic import _sinc_kernel, gauss_legendre
 from conftest import TWO_PI
 
 XI_GRID = tuple(0.25 * k for k in range(1, 17))  # 0.25 .. 4.0
@@ -56,49 +56,35 @@ class TestAsymptoticProblem:
 
     @pytest.mark.parametrize("xi,nodes", [(-0.5, 8), (1.0, 1), (np.nan, 8), (1.0, 2.5)])
     def test_domain(self, xi, nodes):
-        for solve in (nystrom_eigenvalues, nystrom_spectrum):
-            with pytest.raises(DomainError):
-                solve(xi, nodes)
+        with pytest.raises(DomainError):
+            nystrom_eigenvalues(xi, nodes)
 
 
 class TestNystromSpectrum:
     def test_zero_concentration(self):
-        spec = nystrom_spectrum(0.0, 16)
-        assert np.allclose(spec.eigenvalues, 0.0, atol=1e-15)
+        vals = nystrom_eigenvalues(0.0, 16)
+        assert np.allclose(vals, 0.0, atol=1e-15)
 
     def test_weighted_diagonal_trace(self):
-        spec = nystrom_spectrum(1.0, 64)
-        diag = _sinc_kernel(1.0, spec.nodes, spec.nodes)
-        assert np.dot(spec.weights, diag) == pytest.approx(1.0, abs=1e-13)
+        z, w = gauss_legendre(64)
+        diag = _sinc_kernel(1.0, z, z)
+        assert np.dot(w, diag) == pytest.approx(1.0, abs=1e-13)
 
     def test_two_resolution_agreement(self):
-        lam64 = nystrom_spectrum(1.0, 64).eigenvalues[0]
-        lam128 = nystrom_spectrum(1.0, 128).eigenvalues[0]
+        lam64 = nystrom_eigenvalues(1.0, 64)[0]
+        lam128 = nystrom_eigenvalues(1.0, 128)[0]
         assert abs(lam64 - lam128) < 1e-10
-
-    def test_error_estimates_cover_leading_eigenvalues(self):
-        spec = nystrom_spectrum(1.0, 32)
-        assert np.all(np.isfinite(spec.error_estimates[:16]))
-        assert spec.error_estimates[0] < 1e-10
 
     def test_eigenvalue_sum_matches_concentration(self):
         for xi in (0.5, 1.0, 2.5, 4.0):
             for nodes in (64, 128):
-                spec = nystrom_spectrum(xi, nodes)
-                assert np.sum(spec.eigenvalues) == pytest.approx(xi, abs=1e-10)
-                assert np.all(spec.eigenvalues <= 1.0 + 1e-12)
-                assert np.all(spec.eigenvalues >= -1e-12)
-
-    def test_eigenfunction_parity(self):
-        # eigenfunctions alternate parity about z = 0; check the well-separated ones
-        spec = nystrom_spectrum(1.0, 64)
-        for nu in range(5):
-            samples = spec.eigenfunction_samples[:, nu]
-            mirrored = samples[::-1] * (-1.0) ** nu
-            assert np.max(np.abs(samples - mirrored)) < 1e-8
+                vals = nystrom_eigenvalues(xi, nodes)
+                assert np.sum(vals) == pytest.approx(xi, abs=1e-10)
+                assert np.all(vals <= 1.0 + 1e-12)
+                assert np.all(vals >= -1e-12)
 
     def test_spectral_decay(self):
-        vals = nystrom_spectrum(1.0, 64).eigenvalues
+        vals = nystrom_eigenvalues(1.0, 64)
         lead = vals[:8]
         assert np.all(np.diff(lead) < 0.0)
         assert vals[3] < 1e-3
@@ -106,7 +92,7 @@ class TestNystromSpectrum:
     def test_plunge_matches_discrete_route(self):
         # same operator through the uniform-support matrix at dk = 500
         disc = eigensystem(TWO_PI / 501.0, 500).eigenvalues
-        nys = nystrom_spectrum(1.0, 64).eigenvalues
+        nys = nystrom_eigenvalues(1.0, 64)
         assert abs(nys[3] - disc[3]) / disc[3] < 0.10
 
 
@@ -121,27 +107,10 @@ class TestParitySolve:
     @pytest.mark.parametrize("nodes", [2, 3, 64, 65, 1025])
     def test_matches_dense_solve(self, nodes):
         for xi in (0.5, 3.0):
-            spec = nystrom_spectrum(xi, nodes)
-            a = dense_weighted_matrix(xi, spec.nodes, spec.weights)
+            z, w = gauss_legendre(nodes)
+            a = dense_weighted_matrix(xi, z, w)
             dense = np.sort(np.linalg.eigvalsh(a))[::-1]
-            assert np.max(np.abs(spec.eigenvalues - dense)) < 1e-14
-            vecs = spec.eigenfunction_samples * np.sqrt(spec.weights)[:, None]
-            residual = np.linalg.norm(a @ vecs - vecs * spec.eigenvalues, axis=0)
-            assert residual.max() <= 1e-12 * nodes
-
-    @pytest.mark.parametrize("nodes", [2, 3, 64, 65])
-    def test_separated_eigenfunctions_have_parity(self, nodes):
-        spec = nystrom_spectrum(1.7, nodes)
-        vals = spec.eigenvalues
-        gaps = np.abs(np.diff(vals))
-        gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-        vecs = spec.eigenfunction_samples * np.sqrt(spec.weights)[:, None]
-        for nu in np.flatnonzero(gap > 1e-6):
-            v = vecs[:, nu]
-            even = np.max(np.abs(v - v[::-1]))
-            odd = np.max(np.abs(v + v[::-1]))
-            assert min(even, odd) <= 1e-13 * np.max(np.abs(v))
-            assert v[np.argmax(np.abs(v))] > 0.0
+            assert np.max(np.abs(nystrom_eigenvalues(xi, nodes) - dense)) < 1e-14
 
 
 def mp_legendre_refinement(n, x0):
@@ -235,25 +204,29 @@ class TestAsymptoticLeastUpperBound:
             asymptotic_least_upper_bound(1.0)
 
 
+def discrete_and_asymptote(xi, dk):
+    """lambda0 at ``dalpha = 2*pi*xi/(dk+1)`` and its ``dk -> inf`` limit at ``xi``."""
+    return least_upper_bound(TWO_PI * xi / (dk + 1), dk)[0], asymptotic_least_upper_bound(xi)[0]
+
+
 class TestDiscreteToAsymptotic:
     def test_convergence_at_unit_concentration(self):
-        rep = compare_discrete_to_asymptotic(1.0, 200)
-        assert rep.delta_alpha == pytest.approx(TWO_PI / 201.0)
-        assert abs(rep.difference) < 1e-3
+        discrete, asymptote = discrete_and_asymptote(1.0, 200)
+        assert abs(discrete - asymptote) < 1e-3
 
     def test_differences_shrink(self):
-        diffs = [
-            abs(compare_discrete_to_asymptotic(1.0, dk).difference)
-            for dk in (10, 50, 200)
-        ]
+        diffs = []
+        for dk in (10, 50, 200):
+            discrete, asymptote = discrete_and_asymptote(1.0, dk)
+            diffs.append(abs(discrete - asymptote))
         assert diffs[0] > diffs[1] > diffs[2]
 
     def test_single_support_sits_above_asymptote(self):
-        rep = compare_discrete_to_asymptotic(0.5, 0)
-        assert rep.lambda0_discrete == pytest.approx(0.5, abs=1e-15)
-        assert rep.lambda0_asymptotic < 0.5
-        assert rep.difference > 0.0
+        discrete, asymptote = discrete_and_asymptote(0.5, 0)
+        assert discrete == pytest.approx(0.5, abs=1e-15)
+        assert asymptote < 0.5
+        assert discrete - asymptote > 0.0
 
     def test_implied_width_domain(self):
         with pytest.raises(DomainError):
-            compare_discrete_to_asymptotic(3.0, 1)  # dalpha would exceed 2*pi
+            discrete_and_asymptote(3.0, 1)  # dalpha would exceed 2*pi

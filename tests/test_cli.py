@@ -257,6 +257,15 @@ class TestCurve:
         cfg.write_text("this is not a setting\n")
         assert main(["curve", "--config", str(cfg), "--output", "x.csv"]) == 2
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # a misspelt key is refused, not silently replaced by its default
+        cfg = tmp_path / "typo.cfg"
+        out = tmp_path / "o.csv"
+        cfg.write_text(f"dk = 0\nxi_stpo = 1\noutput = {out}\n")
+        assert main(["curve", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: unknown key 'xi_stpo'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_output(self, capsys):
         assert main(["curve", "--dk", "0"]) == 2
 
@@ -410,8 +419,8 @@ class TestSpectrum:
         assert main(argv) == 0
         _, rows = read_csv(out)
         vals = np.array([float(c[1]) for c in rows])
-        library = phasebound.nystrom_spectrum(1.7, 1024)
-        assert np.max(np.abs(vals - library.eigenvalues)) <= 4e-15
+        library = phasebound.nystrom_eigenvalues(1.7, 1024)
+        assert np.max(np.abs(vals - library)) <= 4e-15
         assert np.all(np.diff(vals) <= 0.0)
 
     def test_discrete_matches_dense_eigvalsh(self, tmp_path, capsys):

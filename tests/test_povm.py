@@ -48,6 +48,14 @@ class TestValidatePhaseMatrix:
     def test_canonical_passes(self):
         assert PhaseMatrix.canonical(4).is_canonical
 
+    def test_is_canonical_is_derived_not_passed(self):
+        assert PhaseMatrix(np.ones((3, 3))).is_canonical
+        assert not PhaseMatrix(np.eye(2)).is_canonical
+        with pytest.raises(TypeError):
+            PhaseMatrix(np.eye(2), True)
+        with pytest.raises(TypeError):
+            PhaseMatrix(np.eye(2), is_canonical=True)
+
     def test_identity_passes(self):
         # all phase information lost, but zero off-diagonals are allowed
         assert PhaseMatrix.identity(3).dim == 3
