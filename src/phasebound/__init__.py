@@ -33,7 +33,6 @@ from .kernel import (
     eigensystem,
     leading_eigenpair,
     least_upper_bound,
-    second_eigenvalue_bound,
 )
 from .oracles import (
     OracleConfig,
@@ -99,5 +98,4 @@ __all__ = [
     "quadrature_probability",
     "random_state_search",
     "reduce",
-    "second_eigenvalue_bound",
 ]

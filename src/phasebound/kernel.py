@@ -13,15 +13,15 @@ so it maps even and odd sequences to themselves, and ``eigensystem`` solves
 its even and odd half-blocks (``parity_blocks``; ``parity_vectors`` maps
 their eigenvectors back, and ``asymptotic`` splits its Nystrom matrix the
 same way), two dense solves of half the size.  ``leading_eigenpair``
-returns the top (or second) pair in O(dk log dk) without forming the
-kernel: the kernel is the discrete prolate matrix with ``M = dk+1``,
-``W = dalpha/(4*pi)``, and it commutes with Slepian's tridiagonal matrix
-(Slepian 1978, "Prolate spheroidal wave functions, Fourier analysis, and
-uncertainty V: the discrete case", BSTJ 57), whose eigenvalues are well
-separated where the kernel's cluster near 1.  ``_top_eigenvector``
-isolates the top eigenvalue of one parity block of that matrix by Sturm
-bisection and finishes the pair by Rayleigh-quotient inverse iteration, in
-about 22 pure-Python O(dk) sweeps where bisection to rounding took 52.
+returns the top pair in O(dk log dk) without forming the kernel: the kernel
+is the discrete prolate matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and
+it commutes with Slepian's tridiagonal matrix (Slepian 1978, "Prolate
+spheroidal wave functions, Fourier analysis, and uncertainty V: the discrete
+case", BSTJ 57), whose eigenvalues are well separated where the kernel's
+cluster near 1.  ``_top_eigenvector`` isolates the top eigenvalue of the
+even block of that matrix by Sturm bisection and finishes the pair by
+Rayleigh-quotient inverse iteration, in about 22 pure-Python O(dk) sweeps
+where bisection to rounding took 52.
 
 Where only products with the kernel are needed, ``toeplitz_operator`` takes
 them through an FFT of its circulant embedding, in O(dk log dk) time and
@@ -29,9 +29,6 @@ O(dk) memory, and ``kernel_operator`` builds it once per ``(dalpha, size)``
 for the Rayleigh quotient in ``leading_eigenpair``, the power-iteration
 oracle and the window probability ``povm.interval_probability``.  The dense
 ``build_kernel`` serves the full spectrum and the random-state oracle.
-Where only an upper bound on the second eigenvalue is needed,
-``second_eigenvalue_bound`` gives the odd half-block's Frobenius norm from
-two O(dk) trace sums over the kernel column, with no solve.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ def check_domain(delta_alpha: float, delta_k: int) -> None:
         raise DomainError("dalpha must be finite")
     if not 0.0 <= delta_alpha <= TWO_PI:
         raise DomainError(f"dalpha {delta_alpha} outside [0, 2*pi]")
-    if not isinstance(delta_k, (int, np.integer)):
+    if not isinstance(delta_k, (int, np.integer)) or isinstance(delta_k, bool):
         raise DomainError("dk must be an integer")
     if delta_k < 0:
         raise DomainError(f"dk {delta_k} < 0")
@@ -132,8 +129,8 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def kernel_operator(delta_alpha: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """``toeplitz_operator(kernel_column(delta_alpha, size))``, built once per
     ``(delta_alpha, size)`` and shared: one ``bound --verify`` multiplies by
-    the same kernel in both ``leading_eigenpair`` calls, the power-iteration
-    oracle and ``povm.interval_probability``."""
+    the same kernel in ``leading_eigenpair``, the power-iteration oracle and
+    ``povm.interval_probability``."""
     return toeplitz_operator(kernel_column(float(delta_alpha), size))
 
 
@@ -267,21 +264,21 @@ def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
     return SpectrumResult(vals, vecs, diag)
 
 
-def _slepian_block(delta_alpha: float, size: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of Slepian's T restricted to even or odd sequences.
+def _slepian_block(delta_alpha: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Slepian's T restricted to even sequences.
 
     T has diagonal ``((M-1-2n)/2)^2 cos(2*pi*W)`` and off-diagonal ``n(M-n)/2``.
-    It is centrosymmetric, so it maps sequences with ``v[M-1-n] = +-v[n]`` to
+    It is centrosymmetric, so it maps sequences with ``v[M-1-n] = v[n]`` to
     themselves; on them it acts as the tridiagonal block over the first half,
     with the coupling across the middle folded into the block's last row.
     """
-    half = size // 2 if odd else (size + 1) // 2
+    half = (size + 1) // 2
     n = np.arange(half, dtype=float)
     diag = (0.5 * (size - 1 - 2 * n)) ** 2 * math.cos(0.5 * delta_alpha)
     off = 0.5 * n[1:] * (size - n[1:])
     if size % 2 == 0:
-        diag[-1] += (-0.5 if odd else 0.5) * half * half
-    elif not odd and half > 1:
+        diag[-1] += 0.5 * half * half
+    elif half > 1:
         off[-1] *= math.sqrt(2.0)  # symmetric scaling of the middle entry
     return diag, off
 
@@ -408,41 +405,34 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def leading_eigenpair(
-    delta_alpha: float, delta_k: int, index: int = 0
-) -> tuple[float, np.ndarray]:
-    """Top (``index=0``) or second (``index=1``) eigenpair of the kernel.
+def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the kernel.
 
     The kernel is never formed.  Slepian's tridiagonal T commutes with it, so
-    the two share eigenvectors, in the same order.  T's eigenvectors
-    alternate between even and odd sequences, so the top pair is the top of
-    T's even block and the second pair the top of its odd block
-    (``_slepian_block``).  The eigenvalue is the Rayleigh quotient of the
-    unit vector on the kernel, through ``toeplitz_operator``.  Vectors
-    follow ``fix_signs``; the 1x1 kernel and the identity kernel
-    ``dalpha == 2*pi`` give the exact values of the dense solve.
+    the two share eigenvectors, in the same order.  T's top eigenvector is
+    even, so it is the top vector of T's even block (``_slepian_block``),
+    mirrored.  The eigenvalue is the Rayleigh quotient of the unit vector on
+    the kernel, through ``toeplitz_operator``.  The vector follows
+    ``fix_signs``; the 1x1 kernel and the identity kernel ``dalpha == 2*pi``
+    give the exact values of the dense solve.  Lower pairs are a
+    full-spectrum question, which ``eigensystem`` answers.
 
     Raises ConvergenceFailureError when the residual target
     ``1e-12 * (dk+1)`` is missed.
     """
     check_domain(delta_alpha, delta_k)
-    if index not in (0, 1) or index > delta_k:
-        raise DomainError(f"no eigenpair {index} of a {delta_k + 1}-point kernel")
     size = delta_k + 1
     if size == 1 or delta_alpha == TWO_PI:
         vector = np.zeros(size)
-        vector[index] = 1.0
+        vector[0] = 1.0
         return float(delta_alpha) / TWO_PI, vector
 
-    odd = index == 1
-    half = _top_eigenvector(*_slepian_block(delta_alpha, size, odd))
-    if size % 2 == 0:
-        vector = np.concatenate((half, -half[::-1] if odd else half[::-1]))
-    elif odd:
-        vector = np.concatenate((half, [0.0], -half[::-1]))
-    else:  # undo the block's symmetric scaling of the middle entry
+    half = _top_eigenvector(*_slepian_block(delta_alpha, size))
+    if size % 2:  # undo the block's symmetric scaling of the middle entry
         half[-1] *= math.sqrt(2.0)
         vector = np.concatenate((half, half[-2::-1]))
+    else:
+        vector = np.concatenate((half, half[::-1]))
     vector = fix_signs((vector / np.linalg.norm(vector))[:, None])[:, 0]
 
     image = kernel_operator(delta_alpha, size)(vector)
@@ -450,41 +440,9 @@ def leading_eigenpair(
     residual = float(np.linalg.norm(image - value * vector))
     if residual > 1e-12 * size:
         raise ConvergenceFailureError(
-            f"eigenpair {index} residual {residual:.3e} exceeds {1e-12 * size:.3e}"
+            f"top eigenpair residual {residual:.3e} exceeds {1e-12 * size:.3e}"
         )
     return value, vector
-
-
-def second_eigenvalue_bound(delta_alpha: float, size: int) -> float:
-    """Upper bound on the second eigenvalue of the ``size``-point kernel, in
-    O(size) time and memory, forming no matrix.
-
-    The kernel ``G`` commutes with the reversal ``J``, and its second
-    eigenvalue is the top one of its odd half-block (``leading_eigenpair``),
-    so it is at most that block's Frobenius norm, whose square is
-    ``(tr G^2 - tr JG^2) / 2``.  With ``e`` the kernel column,
-    ``tr G^2 = size*e_0^2 + 2 sum_a (size-a) e_a^2`` and
-    ``tr JG^2 = sum_a e_|a| h(size-1-|a|)`` over ``|a| < size``, where
-    ``h(R)`` sums ``e_|b|`` over ``b = -R, -R+2, ..., R``: cumulative sums
-    over the even and odd lags.  A constant matrix has no odd part, so the
-    column is first centred on the mean entry of ``G``; then the two traces
-    no longer cancel where ``G`` is close to constant (small ``dalpha``),
-    where they would lose all digits of the difference.  The rest of the
-    rounding, which grows with the number of terms summed, is covered by an
-    allowance of ``4 sqrt(size)`` ulps of the traces' magnitude, added
-    before the root so that rounding can only raise the bound.
-    """
-    e = kernel_column(float(delta_alpha), size)
-    counts = np.arange(size, 0, -1, dtype=float)  # size - a: entries at lag a
-    e = e - (2.0 * (counts @ e) - size * e[0]) / (size * size)
-    trace_sq = 2.0 * (counts @ (e * e)) - size * e[0] ** 2
-    h = np.empty(size)
-    h[0::2] = 2.0 * np.cumsum(e[0::2]) - e[0]
-    h[1::2] = 2.0 * np.cumsum(e[1::2])
-    trace_reversed = 2.0 * (e @ h[::-1]) - e[0] * h[-1]
-    ulps = 4.0 * math.sqrt(size) * float(np.finfo(float).eps)
-    allowance = ulps * (trace_sq + abs(trace_reversed))
-    return math.sqrt(max(0.5 * (trace_sq - trace_reversed), 0.0) + allowance)
 
 
 def least_upper_bound(delta_alpha: float, delta_k: int) -> tuple[float, FockState]:

@@ -36,7 +36,7 @@ class FockState:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("amplitudes must be finite")
-        if not isinstance(self.offset, (int, np.integer)):
+        if not isinstance(self.offset, (int, np.integer)) or isinstance(self.offset, bool):
             raise ValueError("offset must be an integer")
         if self.offset < 0:
             raise NegativeIndexError(f"offset {self.offset} < 0")
@@ -146,8 +146,9 @@ class NumberWindow:
     precision: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, (int, np.integer)) or not isinstance(
-            self.precision, (int, np.integer)
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in (self.base, self.precision)
         ):
             raise DomainError("window parameters must be integers")
         if self.base < 0:
@@ -193,7 +194,7 @@ def number_shift(state: FockState, m: int) -> FockState:
 
     Raises NegativeIndexError when any stored index would become negative.
     """
-    if not isinstance(m, (int, np.integer)):
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError("shift must be an integer")
     if state.offset + m < 0:
         raise NegativeIndexError(

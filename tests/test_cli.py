@@ -64,14 +64,26 @@ class TestBound:
         assert main(["bound", "--dalpha", TWO_PI_TEXT, "--dk", "2", "--verify"]) == 0
         assert "verify_power_note" in kv_output(capsys)
 
-    def test_verify_small_gap_skips_power_iteration(self, capsys):
-        # xi = 8: the top gap is about 1e-8, below the 1e-6 at which the
-        # comparison is skipped
+    def test_verify_small_gap_runs_comparison(self, capsys):
+        # xi = 8: the top gap is about 1e-8, yet the Lanczos oracle converges
+        # within its product budget and agrees with the eigensolve
         argv = ["bound", "--dalpha", "0.2500770271514263", "--dk", "200", "--verify"]
         assert main(argv) == 0
         out = kv_output(capsys)
+        assert out["verify_power_converged"] == "true"
+        assert float(out["verify_power_delta"]) <= 1e-9
+        assert "verify_power_note" not in out
+
+    def test_verify_product_budget(self, capsys):
+        # xi = 256: the oracle runs out of its 64 products and the comparison
+        # is skipped on its own flag
+        argv = ["bound", "--dalpha", repr(TWO_PI * 256 / 1001), "--dk", "1000", "--verify"]
+        assert main(argv) == 0
+        out = kv_output(capsys)
+        assert out["verify_power_iterations"] == "64"
+        assert out["verify_power_converged"] == "false"
         assert out["verify_power_note"] == "comparison skipped: gap-degenerate or slow"
-        assert "verify_power_iterations" not in out
+        assert "verify_power_delta" not in out
 
     @pytest.mark.parametrize("dk", [20000, 100000])
     def test_verify_large_dk(self, capsys, dk):
@@ -94,31 +106,25 @@ class TestBound:
         assert kv_output(capsys)["verify_power_converged"] == "true"
         assert peak < 8 * 2**20
 
-    def test_verify_certifies_gap_without_second_pair(self, capsys, monkeypatch):
-        # on bound-verify's range the odd block's Frobenius norm proves the
-        # top gap wider than 1e-6, so the second pair is never solved for
-        import phasebound.cli as cli
+    def test_verify_solves_top_pair_once(self, capsys, monkeypatch):
+        # one eigensolve per operation: the oracle alone decides a skip
+        import phasebound.kernel as kernel
 
-        calls = {"leading_eigenpair": 0, "least_upper_bound": 0}
+        calls = []
+        solve = kernel.leading_eigenpair
 
-        def counted(name):
-            function = getattr(cli, name)
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return function(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(kernel, "leading_eigenpair", counted)
         rng = np.random.default_rng(41)
-        for _ in range(10):
+        for count in range(1, 11):
             dk, xi = int(rng.integers(800, 1200)), rng.uniform(0.5, 2.5)
             argv = ["bound", "--dalpha", repr(TWO_PI * xi / (dk + 1)), "--dk", str(dk), "--verify"]
             assert main(argv) == 0
             assert float(kv_output(capsys)["verify_power_delta"]) <= 1e-9
-        assert calls == {"leading_eigenpair": 0, "least_upper_bound": 10}
+            assert len(calls) == count
 
     def test_degrees(self, capsys):
         assert main(["bound", "--dalpha", "180", "--dk", "1", "--degrees"]) == 0

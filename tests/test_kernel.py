@@ -1,7 +1,6 @@
 """Concentration kernel construction and spectrum."""
 
 import bisect
-import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,6 @@ from phasebound import (
     least_upper_bound,
     power_iteration,
     random_state_search,
-    second_eigenvalue_bound,
 )
 import phasebound.kernel as kernel_module
 from phasebound.kernel import (
@@ -30,7 +28,6 @@ from phasebound.kernel import (
     _solve,
     _top_eigenvector,
     kernel_column,
-    parity_blocks,
     toeplitz_from_column,
     toeplitz_operator,
 )
@@ -210,12 +207,10 @@ class TestLeadingEigenpair:
         # dalpha == pi gives cos(2*pi*W) == 0: Slepian's T has a zero diagonal
         for dk in DK_GRID:
             dense, g = eigensystem(dalpha, dk), build_kernel(dalpha, dk).entries
-            for index in range(min(2, dk + 1)):
-                value, vector = leading_eigenpair(dalpha, dk, index)
-                assert abs(value - dense.eigenvalues[index]) <= 1e-14
-                assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
-                assert np.linalg.norm(g @ vector - value * vector) <= 1e-13
             value, vector = leading_eigenpair(dalpha, dk)
+            assert abs(value - dense.eigenvalues[0]) <= 1e-14
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
+            assert np.linalg.norm(g @ vector - value * vector) <= 1e-13
             # eigh's vector is accurate to about eps / top_gap, so compare
             # only where that is well below the tolerance
             if dense.diagnostics.top_gap > 1e-9:
@@ -224,11 +219,6 @@ class TestLeadingEigenpair:
     def test_top_vector_has_one_sign(self):
         for dalpha, dk in ((0.5, 40), (3.0, 41), (6.2, 16)):
             assert np.all(leading_eigenpair(dalpha, dk)[1] > 0.0)
-
-    def test_second_vector_is_odd(self):
-        for dk in (15, 16):
-            vector = leading_eigenpair(2.0, dk, 1)[1]
-            assert np.array_equal(vector, -vector[::-1])
 
     def test_single_support(self):
         value, vector = leading_eigenpair(1.3, 0)
@@ -239,15 +229,9 @@ class TestLeadingEigenpair:
         assert leading_eigenpair(0.0, 7)[0] == 0.0
 
     def test_identity_kernel_is_exact(self):
-        for index in (0, 1):
-            value, vector = leading_eigenpair(TWO_PI, 5, index)
-            assert value == 1.0
-            assert np.array_equal(vector, np.eye(6)[index])
-
-    @pytest.mark.parametrize("dk,index", [(0, 1), (3, 2), (3, -1)])
-    def test_missing_pair(self, dk, index):
-        with pytest.raises(DomainError):
-            leading_eigenpair(1.0, dk, index)
+        value, vector = leading_eigenpair(TWO_PI, 5)
+        assert value == 1.0
+        assert np.array_equal(vector, np.eye(6)[0])
 
     def test_large_dk(self):
         # far past the dense path: (dk+1)^2 doubles would take 3.2 GB
@@ -271,14 +255,13 @@ class TestLeadingEigenpair:
     def test_edge_grid_matches_dense_block(self, dalpha):
         # zero (dalpha = pi), negative and almost uniform diagonals of T
         for dk in list(range(1, 41)) + [100, 101, 1000, 1001]:
-            for index in range(min(2, dk + 1)):
-                diag, off = _slepian_block(dalpha, dk + 1, index == 1)
-                vector = _top_eigenvector(diag, off)
-                block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-                values, vectors = np.linalg.eigh(block)
-                if values.size == 1 or values[-1] - values[-2] > 1e-6:
-                    assert 1.0 - abs(vector @ vectors[:, -1]) <= 1e-13
-                leading_eigenpair(dalpha, dk, index)  # the residual gate holds
+            diag, off = _slepian_block(dalpha, dk + 1)
+            vector = _top_eigenvector(diag, off)
+            block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            values, vectors = np.linalg.eigh(block)
+            if values.size == 1 or values[-1] - values[-2] > 1e-6:
+                assert 1.0 - abs(vector @ vectors[:, -1]) <= 1e-13
+            leading_eigenpair(dalpha, dk)  # the residual gate holds
 
     def test_multiple_top_eigenvalue(self):
         # the bracket collapses on a top eigenvalue 1 of multiplicity two
@@ -317,47 +300,6 @@ class TestLeadingEigenpair:
             taper, ratio = windows.dpss(dk + 1, xi / 2.0, Kmax=1, return_ratios=True)
             assert abs(value - ratio[0]) <= 1e-13
             assert abs(1.0 - abs(vector @ taper[0]) / np.linalg.norm(taper[0])) <= 1e-12
-
-
-class TestSecondEigenvalueBound:
-    """The odd half-block's Frobenius norm from two O(dk) traces."""
-
-    def test_matches_odd_block_frobenius_norm(self):
-        rng = np.random.default_rng(29)
-        cases = [(dk, TWO_PI) for dk in (1, 2, 3, 300)] + [(1, 1.0), (2, 3.0), (300, 0.01)]
-        for _ in range(60):
-            dk = int(rng.integers(1, 301))
-            xi = float(np.exp(rng.uniform(np.log(1e-8), np.log(12.0))))
-            cases.append((dk, min(TWO_PI * xi / (dk + 1), TWO_PI)))
-        for dk, dalpha in cases:
-            n = dk + 1
-            odd = parity_blocks(build_kernel(dalpha, dk).entries[: n - n // 2])[1]
-            frobenius_sq = float(np.sum(np.linalg.eigvalsh(odd) ** 2))
-            bound_sq = second_eigenvalue_bound(dalpha, n) ** 2
-            # relative: where dalpha is small the traces are tiny but the
-            # bound must still track the block
-            assert abs(bound_sq - frobenius_sq) <= 1e-13 * frobenius_sq
-            # rounding only raises the bound above the block's exact norm
-            assert bound_sq >= math.fsum((odd * odd).ravel())
-
-    def test_bounds_second_eigenvalue(self):
-        rng = np.random.default_rng(31)
-        for _ in range(150):
-            dk = int(np.exp(rng.uniform(0.0, np.log(3000.0))))
-            xi = float(np.exp(rng.uniform(np.log(1e-8), np.log(12.0))))
-            dalpha = min(TWO_PI * xi / (dk + 1), TWO_PI)
-            second = leading_eigenpair(dalpha, dk, 1)[0]
-            assert second_eigenvalue_bound(dalpha, dk + 1) >= second - 1e-15
-
-    def test_builds_no_matrix(self):
-        size = 4001  # the odd block alone would take 32 MB
-        tracemalloc.start()
-        try:
-            second_eigenvalue_bound(TWO_PI * 2.5 / size, size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
 
 
 class TestCauchyBound:

@@ -122,6 +122,16 @@ class TestPowerIteration:
         assert res.converged
         assert abs(res.value - leading_eigenpair(dalpha, 40)[0]) <= 1e-12
 
+    def test_small_gap_range(self):
+        # where the top gap falls to 1e-8 and far below, the Ritz pair still
+        # converges within bound --verify's budget of 64 products
+        cases = [(40, 8), (40, 16)] + [(dk, xi) for dk in (200, 1000, 3000) for xi in (8, 16, 64)]
+        for dk, xi in cases:
+            dalpha = TWO_PI * xi / (dk + 1)
+            res = power_iteration(dalpha, dk, OracleConfig(max_iterations=64))
+            assert res.converged and not res.gap_degenerate
+            assert abs(res.value - leading_eigenpair(dalpha, dk)[0]) <= 1e-12
+
     def test_product_cap(self):
         res = power_iteration(TWO_PI * 3.0 / 1001, 1000, OracleConfig(max_iterations=3))
         assert not res.converged and not res.gap_degenerate

@@ -13,6 +13,7 @@ def test_exports_resolve():
         "ComparisonReport",
         "compare_discrete_to_asymptotic",
         "nystrom_spectrum",
+        "second_eigenvalue_bound",
     }
     assert removed.isdisjoint(names)
     assert not any(hasattr(phasebound, name) for name in removed)

@@ -16,6 +16,7 @@ from phasebound import (
     NumberWindow,
     PhaseWindow,
     ZeroStateError,
+    least_upper_bound,
     normalize,
     number_shift,
     phase_shift,
@@ -212,3 +213,20 @@ class TestNumberWindow:
     def test_domain(self, base, precision):
         with pytest.raises(DomainError):
             NumberWindow(base, precision)
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: least_upper_bound(1.0, True), DomainError),
+        (lambda: NumberWindow(True, False), DomainError),
+        (lambda: NumberWindow(0, True), DomainError),
+        (lambda: FockState([1.0], offset=True), ValueError),
+        (lambda: number_shift(FockState([1.0]), True), ValueError),
+    ],
+    ids=["dk", "window-base", "window-precision", "offset", "shift"],
+)
+def test_integer_parameters_refuse_booleans(build, error):
+    # bool subclasses int; each refuses it as it refuses any non-integer
+    with pytest.raises(error, match="integer"):
+        build()
