@@ -18,10 +18,17 @@ is the discrete prolate matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and
 it commutes with Slepian's tridiagonal matrix (Slepian 1978, "Prolate
 spheroidal wave functions, Fourier analysis, and uncertainty V: the discrete
 case", BSTJ 57), whose eigenvalues are well separated where the kernel's
-cluster near 1.  ``_top_eigenvector`` isolates the top eigenvalue of the
-even block of that matrix by Sturm bisection and finishes the pair by
-Rayleigh-quotient inverse iteration, in about 22 pure-Python O(dk) sweeps
-where bisection to rounding took 52.
+cluster near 1.  In the basis of the discrete Chebyshev (Gram) polynomials
+that matrix splits into even and odd blocks that are tridiagonal in the
+degree, and the top vector needs only a few dozen degrees whatever ``dk``
+(``_gram_block``).  ``_top_eigenvector`` isolates the top eigenvalue of a
+tridiagonal block by Sturm bisection and finishes the pair by
+Rayleigh-quotient inverse iteration; the vector is then summed on the grid
+by the polynomials' recurrence, one numpy pass of length ``dk/2`` per
+degree.  Where that truncation exceeds ``M/4`` degrees, ``M = dk+1`` (every
+``dk < 127``, and large ``xi`` up to ``dk`` of a few thousand), the
+recurrence loses digits and the same solver runs on Slepian's even block of
+``M/2`` rows instead.
 
 Where only products with the kernel are needed, ``toeplitz_operator`` takes
 them through an FFT of its circulant embedding, in O(dk log dk) time and
@@ -283,6 +290,68 @@ def _slepian_block(delta_alpha: float, size: int) -> tuple[np.ndarray, np.ndarra
     return diag, off
 
 
+def _gram_block(
+    delta_alpha: float, size: int, degrees: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Even block of Slepian's T, less ``(M^2-1)/4``, in the Gram basis.
+
+    The orthonormal discrete Chebyshev (Gram) polynomials ``p_k`` on
+    ``x_n = n - (M-1)/2`` satisfy ``x p_k = b_{k+1} p_{k+1} + b_k p_{k-1}``
+    with ``b_k = (k/2) sqrt((M^2-k^2)/(4k^2-1))``, and in their basis T is
+    ``diag((M^2-1)/4 - k(k+1)/2) - 2 sin^2(dalpha/4) J^2``, where ``J`` is the
+    Jacobi matrix of the ``b_k``.  ``J^2`` couples degree ``k`` only with
+    ``k`` and ``k +- 2``, so the even degrees ``0, 2, ..., degrees-2`` give a
+    tridiagonal block.  The constant ``(M^2-1)/4`` (2.5e9 at ``M = 1e5``) is
+    left out, or it would swamp the vector's digits.  In the basis
+    ``(-1)^(k/2) p_k`` the block's off-diagonal is positive, so its top vector
+    is positive, as ``_top_eigenvector``'s start assumes.
+
+    Returns the block's diagonal and off-diagonal and ``b_0 .. b_{degrees-1}``
+    (``b_0 = 0``).  Degrees ``k >= M`` vanish on the grid: ``b_M = 0``
+    decouples them, and the square root is clipped at 0 beyond it.
+    """
+    k = np.arange(1, degrees, dtype=float)
+    b = np.zeros(degrees)
+    b[1:] = 0.5 * k * np.sqrt(np.maximum(size * size - k * k, 0.0) / (4.0 * k * k - 1.0))
+    scale = 2.0 * math.sin(0.25 * delta_alpha) ** 2
+    even = np.arange(0, degrees, 2, dtype=float)
+    diag = -0.5 * even * (even + 1.0) - scale * (b[::2] ** 2 + b[1::2] ** 2)
+    return diag, scale * b[1:-1:2] * b[2::2], b
+
+
+def _gram_half(delta_alpha: float, size: int) -> np.ndarray | None:
+    """First ``(M+1)//2`` entries of T's top vector from the Gram basis, or
+    None where the truncation exceeds ``M/4``.
+
+    The block of ``_gram_block`` starts at 32 degrees and doubles until the
+    last two coefficients of its top vector fall below 1e-17 (32 degrees up
+    to xi = 3, 64 up to xi = 16, 128 up to xi = 100, whatever ``dk``).  The
+    vector ``sum_k beta_k p_k(x_n)`` is then summed by the three-term
+    recurrence on the first half of the grid: one numpy pass per degree.
+    Past ``M/4``
+    degrees that recurrence loses digits (2.2e-8 at about ``M/2``), so the
+    caller falls back to Slepian's own block.
+    """
+    degrees = 32
+    while degrees <= size / 4:
+        diag, off, b = _gram_block(delta_alpha, size, degrees)
+        beta = _top_eigenvector(diag, off)
+        if np.max(np.abs(beta[-2:])) < 1e-17:
+            break
+        degrees *= 2
+    else:
+        return None
+    beta[1::2] *= -1.0  # from the basis (-1)^(k/2) p_k back to p_k
+    x = np.arange((size + 1) // 2) - 0.5 * (size - 1)
+    older, old = np.zeros(x.size), np.full(x.size, 1.0 / math.sqrt(size))
+    half = beta[0] * old
+    for k in range(1, degrees - 1):
+        older, old = old, (x * old - b[k - 1] * older) / b[k]
+        if k % 2 == 0:
+            half += beta[k // 2] * old
+    return half
+
+
 def _factor(diag: list, off: list, shift: float, guard: float) -> tuple[list, list, int]:
     """``LDL^T`` of ``T - shift`` for the tridiagonal ``T`` with diagonal
     ``diag`` and off-diagonal ``off`` (``off[0] == 0``).
@@ -327,7 +396,9 @@ def _solve(pivots: list, lower: list, upper: list, rhs: list) -> list:
 
 
 def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Top eigenvector of one of Slepian's symmetric tridiagonal blocks ``T``.
+    """Top eigenvector of a symmetric tridiagonal block ``T`` of Slepian's
+    matrix: its even block in the Gram basis (``_gram_block``) or over the
+    grid (``_slepian_block``).
 
     The top eigenvalue lies in ``[lo, hi]``, from the largest diagonal entry
     and a Gershgorin bound.  Sturm bisection (``_factor``'s count) moves
@@ -351,7 +422,7 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     A bracket that collapses before isolating means a top eigenvalue that is
     multiple to rounding.  If the last count there was 0, two solves give a
     vector of it; if it was 2, the factorisation stopped early and
-    ConvergenceFailureError is raised.  Slepian's blocks, with a top gap of
+    ConvergenceFailureError is raised.  Both blocks, with a top gap of
     3-7, reach neither case.
 
     ``hi`` is Gershgorin's bound after the diagonal scaling of the last entry
@@ -410,9 +481,14 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
 
     The kernel is never formed.  Slepian's tridiagonal T commutes with it, so
     the two share eigenvectors, in the same order.  T's top eigenvector is
-    even, so it is the top vector of T's even block (``_slepian_block``),
-    mirrored.  The eigenvalue is the Rayleigh quotient of the unit vector on
-    the kernel, through ``toeplitz_operator``.  The vector follows
+    even, so its first half, mirrored, gives the vector.  That half comes
+    from T's even block in the Gram basis (``_gram_half``), a block of at most
+    ``M/8`` rows, when the truncation stays at or below ``M/4`` degrees;
+    otherwise (every ``dk < 127``, and at ``dk = 1000`` from ``xi`` about
+    128) it comes from T's even block of ``M/2`` rows (``_slepian_block``),
+    the only route accurate there.  The
+    eigenvalue is the Rayleigh quotient of the unit vector on the kernel,
+    through ``toeplitz_operator``.  The vector follows
     ``fix_signs``; the 1x1 kernel and the identity kernel ``dalpha == 2*pi``
     give the exact values of the dense solve.  Lower pairs are a
     full-spectrum question, which ``eigensystem`` answers.
@@ -427,9 +503,12 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
         vector[0] = 1.0
         return float(delta_alpha) / TWO_PI, vector
 
-    half = _top_eigenvector(*_slepian_block(delta_alpha, size))
-    if size % 2:  # undo the block's symmetric scaling of the middle entry
-        half[-1] *= math.sqrt(2.0)
+    half = _gram_half(delta_alpha, size)
+    if half is None:
+        half = _top_eigenvector(*_slepian_block(delta_alpha, size))
+        if size % 2:  # undo the block's symmetric scaling of the middle entry
+            half[-1] *= math.sqrt(2.0)
+    if size % 2:
         vector = np.concatenate((half, half[-2::-1]))
     else:
         vector = np.concatenate((half, half[::-1]))

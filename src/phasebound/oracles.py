@@ -119,6 +119,9 @@ def power_iteration(
     x = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     basis = np.empty((_BASIS, dim))
+    # tridiagonal projection, filled in place: eigh reads only its lower
+    # triangle, so the upper one is never written
+    projection = np.zeros((_BASIS, _BASIS))
 
     value, residual, products = 0.0, np.inf, 0
     while products < cfg.max_iterations:
@@ -141,28 +144,29 @@ def power_iteration(
             )
         # Lanczos run from x; w is the product of the newest basis vector
         basis[0] = x
-        alpha, beta = [], []
+        size = 0
         while True:
-            known = basis[: len(alpha) + 1]
+            known = basis[: size + 1]
             first = known @ w
             w -= first @ known
             second = known @ w
             w -= second @ known
-            alpha.append(float(first[-1] + second[-1]))
-            theta, ritz = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            projection[size, size] = first[-1] + second[-1]
+            size += 1
+            theta, ritz = np.linalg.eigh(projection[:size, :size])
             norm = float(np.linalg.norm(w))
             residual = norm * abs(float(ritz[-1, -1]))
             if (
                 residual <= cfg.power_tolerance
-                or len(alpha) == _BASIS
+                or size == _BASIS
                 or products == cfg.max_iterations
             ):
                 break
-            beta.append(norm)
-            basis[len(alpha)] = w / norm
-            w = apply(basis[len(alpha)])
+            projection[size, size - 1] = norm
+            basis[size] = w / norm
+            w = apply(basis[size])
             products += 1
-        x = ritz[:, -1] @ basis[: len(alpha)]
+        x = ritz[:, -1] @ basis[:size]
         x /= np.linalg.norm(x)
         value = float(theta[-1])
     return PowerIterationResult(

@@ -22,10 +22,9 @@ from phasebound import (
 )
 import phasebound.kernel as kernel_module
 from phasebound.kernel import (
-    _factor,
     _fft_length,
+    _gram_block,
     _slepian_block,
-    _solve,
     _top_eigenvector,
     kernel_column,
     toeplitz_from_column,
@@ -272,25 +271,72 @@ class TestLeadingEigenpair:
         with pytest.raises(ConvergenceFailureError):  # last count 2
             _top_eigenvector(np.full(4, 0.5), np.array([0.5, 0.0, 0.5]))
 
-    def test_sweeps_per_call(self, monkeypatch):
-        # O(dk) Python sweeps on bound-verify's range: one per factorisation,
-        # two per solve.  Bisection to rounding took about 52.
-        sweeps = []
+    def test_block_rows_per_call(self, monkeypatch):
+        # bound-verify's range takes the Gram route, whose blocks stay at 32
+        # rows or fewer: no Python loop runs over dk
+        rows = []
 
-        def counted(helper, count):
-            def wrapper(*args):
-                sweeps.append(count)
-                return helper(*args)
+        def counted(diag, off):
+            rows.append(diag.size)
+            return _top_eigenvector(diag, off)
 
-            return wrapper
-
-        monkeypatch.setattr(kernel_module, "_factor", counted(_factor, 1))
-        monkeypatch.setattr(kernel_module, "_solve", counted(_solve, 2))
+        monkeypatch.setattr(kernel_module, "_top_eigenvector", counted)
         rng = np.random.default_rng(7)
         for _ in range(20):
             dk, xi = int(rng.integers(800, 1200)), rng.uniform(0.5, 3.0)
             leading_eigenpair(TWO_PI * xi / (dk + 1), dk)
-        assert sum(sweeps) / 20 <= 25
+        assert rows and max(rows) <= 32
+
+    @pytest.mark.parametrize("dk", [1, 2, 3, 5, 16, 40, 100, 200, 1000, 3000, 3001])
+    def test_gram_crossover(self, dk, monkeypatch):
+        # the Gram route exactly where the truncation K stays at or below M/4;
+        # every case against LAPACK: the value from the dense eigensystem
+        # (past dk = 1000, where that takes seconds, the dense kernel's
+        # Rayleigh quotient) and the vector from Slepian's full T
+        linalg = pytest.importorskip("scipy.linalg")
+        size = dk + 1
+        fallbacks = []
+
+        def counted(delta_alpha, block_size):
+            fallbacks.append(block_size)
+            return _slepian_block(delta_alpha, block_size)
+
+        monkeypatch.setattr(kernel_module, "_slepian_block", counted)
+        for dalpha in np.linspace(0.05, TWO_PI, 25, endpoint=False):
+            degrees = 32
+            while True:  # uncapped doubling, as far as K >= M
+                diag, off, _ = _gram_block(dalpha, size, degrees)
+                beta = _top_eigenvector(diag, off)
+                if np.max(np.abs(beta[-2:])) < 1e-17:
+                    break
+                degrees *= 2
+            if degrees >= size:  # the b_k guard: degrees >= M decouple
+                assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+                top = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[-1]
+                t_diag, t_off = _slepian_block(dalpha, size)
+                t_top = np.linalg.eigvalsh(np.diag(t_diag) + np.diag(t_off, 1) + np.diag(t_off, -1))[-1]
+                assert abs(top + (size * size - 1) / 4.0 - t_top) <= 1e-12 * size * size
+
+            fallbacks.clear()
+            value, vector = leading_eigenpair(dalpha, dk)
+            assert (not fallbacks) == (degrees <= size / 4), (dalpha, degrees)
+
+            n = np.arange(size)
+            _, ref = linalg.eigh_tridiagonal(
+                (0.5 * (size - 1 - 2 * n)) ** 2 * np.cos(0.5 * dalpha),
+                0.5 * n[1:] * (size - n[1:]),
+                select="i",
+                select_range=(dk, dk),
+            )
+            assert 1.0 - abs(vector @ ref[:, 0]) <= 1e-12
+            assert vector[np.argmax(np.abs(vector))] > 0.0
+            if dk <= 1000:
+                top_value = eigensystem(dalpha, dk).eigenvalues[0]
+            else:
+                g = build_kernel(dalpha, dk).entries
+                top_value = ref[:, 0] @ g @ ref[:, 0]
+                assert np.linalg.norm(g @ vector - value * vector) <= 1e-12
+            assert abs(value - top_value) <= 1e-12
 
     @pytest.mark.parametrize("dk", [1000, 20000])
     def test_scipy_dpss(self, dk):
@@ -300,6 +346,15 @@ class TestLeadingEigenpair:
             taper, ratio = windows.dpss(dk + 1, xi / 2.0, Kmax=1, return_ratios=True)
             assert abs(value - ratio[0]) <= 1e-13
             assert abs(1.0 - abs(vector @ taper[0]) / np.linalg.norm(taper[0])) <= 1e-12
+
+    def test_north_star_dk(self):
+        windows = pytest.importorskip("scipy.signal.windows")
+        dk = 100000
+        lam, state = least_upper_bound(TWO_PI * 8.0 / (dk + 1), dk)
+        taper, ratio = windows.dpss(dk + 1, 4.0, Kmax=1, return_ratios=True)
+        assert abs(lam - ratio[0]) <= 1e-13
+        overlap = abs(state.amplitudes @ taper[0]) / np.linalg.norm(taper[0])
+        assert 1.0 - overlap <= 1e-12
 
 
 class TestCauchyBound:

@@ -132,6 +132,31 @@ class TestPowerIteration:
             assert res.converged and not res.gap_degenerate
             assert abs(res.value - leading_eigenpair(dalpha, dk)[0]) <= 1e-12
 
+    def test_projection_in_place(self, monkeypatch):
+        # the projection's lower triangle, filled in place, gives the same
+        # Ritz pairs bit for bit as the symmetric tridiagonal matrix rebuilt
+        # from its diagonals after each product
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def checked(a):
+            alpha, beta = np.diagonal(a), np.diagonal(a, -1)
+            full = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            assert np.array_equal(np.tril(a), np.tril(full))
+            theta, ritz = eigh(a)
+            again = eigh(full)
+            assert np.array_equal(theta, again[0]) and np.array_equal(ritz, again[1])
+            sizes.append(a.shape[0])
+            return theta, ritz
+
+        monkeypatch.setattr(np.linalg, "eigh", checked)
+        # products at the parent of the in-place projection
+        for dk, xi, products in ((40, 16, 24), (1000, 2, 8), (1000, 256, 64), (3000, 64, 32)):
+            sizes.clear()
+            res = power_iteration(TWO_PI * xi / (dk + 1), dk, OracleConfig(max_iterations=64))
+            assert res.iterations == products
+            assert all(b in (1, a + 1) for a, b in zip(sizes, sizes[1:]))
+
     def test_product_cap(self):
         res = power_iteration(TWO_PI * 3.0 / 1001, 1000, OracleConfig(max_iterations=3))
         assert not res.converged and not res.gap_degenerate
