@@ -20,7 +20,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidMatrixError,
     NegativeIndexError,
-    NoConvergenceError,
     PhaseBoundError,
     ZeroStateError,
 )
@@ -35,7 +34,6 @@ from .kernel import (
     least_upper_bound,
 )
 from .oracles import (
-    OracleConfig,
     PowerIterationResult,
     power_iteration,
     quadrature_probability,
@@ -69,9 +67,7 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidMatrixError",
     "NegativeIndexError",
-    "NoConvergenceError",
     "NumberWindow",
-    "OracleConfig",
     "PhaseBoundError",
     "PhaseMatrix",
     "PhaseWindow",

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NoConvergenceError
+from .errors import ConvergenceFailureError, DomainError
 from .kernel import check_domain, parity_blocks
 from .states import TWO_PI
 
@@ -43,16 +43,13 @@ def concentration_parameter(delta_alpha: float, delta_k: int) -> float:
 
 
 def _sinc_kernel(xi: float, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    """The sinc kernel at concentration ``xi``; broadcasts over the arguments."""
-    c = 0.5 * np.pi * xi
-    d = z - zp
-    x = c * d
-    small = np.abs(x) < 1e-4
-    x2 = x * x
-    series = (c / np.pi) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sin(x) / (np.pi * np.where(small, 1.0, d))
-    return np.where(small, series, direct)
+    """The sinc kernel at concentration ``xi``; broadcasts over the arguments.
+
+    ``sin(pi*xi*d/2) / (pi*d)`` is ``(xi/2) sinc(xi*d/2)`` in numpy's
+    normalised ``sinc``, which is 1 at 0 and needs no series near it.
+    """
+    half = 0.5 * xi
+    return half * np.sinc(half * (z - zp))
 
 
 @lru_cache(maxsize=8)
@@ -67,7 +64,7 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     odd ``n``.  Legendre's equation gives ``P_n''/P_n' = 2x/(1-x^2)`` at a
     root, so a Newton step ``s`` leaves an error of about
     ``s^2 |x|/(1-x^2)``; iteration stops once that is below ``_NEWTON_TOL``
-    for every node, and raises NoConvergenceError if it is not after
+    for every node, and raises ConvergenceFailureError if it is not after
     ``_NEWTON_STEPS`` steps.
 
     Each rule is built once per node count and shared: the node-doubling
@@ -85,7 +82,9 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(step * step * np.abs(x) / (1.0 - x * x)) <= _NEWTON_TOL:
             break
     else:
-        raise NoConvergenceError(f"Gauss-Legendre nodes for n={nodes} did not converge")
+        raise ConvergenceFailureError(
+            f"Gauss-Legendre nodes for n={nodes} did not converge"
+        )
     _, dp = _legendre(nodes, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     m = nodes // 2
@@ -151,8 +150,8 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
     """Largest eigenvalue of the limiting operator, with an error estimate.
 
     Doubles the node count from 32 until two successive values agree to
-    1e-10, capping at 4096 nodes.  Raises NoConvergenceError when the cap is
-    reached and the last refinement still moved by 1e-8 or more, and
+    1e-10, capping at 4096 nodes.  Raises ConvergenceFailureError when the
+    cap is reached and the last refinement still moved by 1e-8 or more, and
     DomainError (from ``_nystrom_blocks``) unless ``xi`` is finite and >= 0.
     """
     if xi == 0.0:
@@ -171,7 +170,7 @@ def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
         prev = lam
         nodes *= 2
     if diff >= _FAIL_TOL:
-        raise NoConvergenceError(
+        raise ConvergenceFailureError(
             f"top eigenvalue still moving by {diff:.3e} at {_MAX_NODES} nodes"
         )
     return lam, float(diff)

@@ -22,14 +22,9 @@ from .asymptotic import (
     concentration_parameter,
     nystrom_eigenvalues,
 )
-from .errors import (
-    ConvergenceFailureError,
-    DomainError,
-    InternalConsistencyError,
-    NoConvergenceError,
-)
+from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
 from .kernel import cauchy_bound, eigensystem, least_upper_bound
-from .oracles import OracleConfig, power_iteration
+from .oracles import power_iteration
 from .povm import conditional_probability, interval_probability, phase_density
 from .states import TWO_PI, FockState, NumberWindow, PhaseWindow, normalize
 
@@ -109,10 +104,6 @@ class CurveSpec:
     gnuplot: Optional[Path] = None
 
     def __post_init__(self) -> None:
-        if not self.dk_values:
-            raise DomainError("dk list is empty")
-        if any(v < 0 for v in self.dk_values):
-            raise DomainError("dk entries must be >= 0")
         if not (0.0 <= self.xi_start < self.xi_stop):
             raise DomainError("require 0 <= xi_start < xi_stop")
         if not self.xi_step > 0.0:
@@ -234,7 +225,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if dalpha == 0.0:
         _print_kv("verify_power_note", "skipped: zero kernel")
         return EXIT_OK
-    result = power_iteration(dalpha, args.dk, OracleConfig(max_iterations=_VERIFY_PRODUCTS))
+    result = power_iteration(dalpha, args.dk, max_iterations=_VERIFY_PRODUCTS)
     _print_kv("verify_power_lambda0", _fmt(result.value))
     _print_kv("verify_power_residual", _fmt(result.residual))
     _print_kv("verify_power_iterations", result.iterations)
@@ -428,10 +419,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # the input errors all subclass ValueError
+    # the input errors all subclass ValueError; a MemoryError means an input
+    # too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceFailureError, NoConvergenceError, InternalConsistencyError) as exc:
+    except (ConvergenceFailureError, InternalConsistencyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -30,12 +30,10 @@ class InternalConsistencyError(PhaseBoundError, RuntimeError):
 
 
 class ConvergenceFailureError(PhaseBoundError, RuntimeError):
-    """The eigensolver missed its residual target."""
+    """An iteration missed its target: an eigensolver its residual, Newton's
+    method its Gauss-Legendre nodes, or node doubling its refinement
+    tolerance before the node cap."""
 
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-class NoConvergenceError(PhaseBoundError, RuntimeError):
-    """Node-doubling refinement hit its cap before reaching the tolerance."""

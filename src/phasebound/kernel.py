@@ -401,10 +401,10 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     grid (``_slepian_block``).
 
     The top eigenvalue lies in ``[lo, hi]``, from the largest diagonal entry
-    and a Gershgorin bound.  Sturm bisection (``_factor``'s count) moves
-    ``lo`` or ``hi`` to each shift until only the top eigenvalue lies above
-    ``lo``; that shift is kept as ``floor``.  Rayleigh-quotient inverse
-    iteration then finishes the pair (Parlett, *The Symmetric Eigenvalue
+    and the largest Gershgorin row bound.  Sturm bisection (``_factor``'s
+    count) moves ``lo`` or ``hi`` to each shift until only the top eigenvalue
+    lies above ``lo``; that shift is kept as ``floor``.  Rayleigh-quotient
+    inverse iteration then finishes the pair (Parlett, *The Symmetric Eigenvalue
     Problem*, 4.6) from a start vector of ones, which the top vector
     (positive, by Perron-Frobenius) overlaps.  For ``y = (T - s)^-1 x`` the
     quotient is ``rho = s + x.y / y.y`` and the squared residual of
@@ -417,31 +417,20 @@ def _top_eigenvector(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     where it raises ``lo`` at least as far as a bisection step, and the
     midpoint otherwise, as for the poor quotients of the first steps.  So the
     shift never leaves the isolating bracket, and convergence is cubic once
-    the vector is close.  When the shift stops moving at rounding level, one
-    more solve with the last factorisation brings the vector to rounding too.
+    the vector is close.  Temple's bound, not a tight start, keeps the count
+    of factorisations low: without it the row bound costs about three times
+    as many.  When the shift stops moving at rounding level, one more solve
+    with the last factorisation brings the vector to rounding too.
     A bracket that collapses before isolating means a top eigenvalue that is
     multiple to rounding.  If the last count there was 0, two solves give a
     vector of it; if it was 2, the factorisation stopped early and
     ConvergenceFailureError is raised.  Both blocks, with a top gap of
     3-7, reach neither case.
-
-    ``hi`` is Gershgorin's bound after the diagonal scaling of the last entry
-    that balances the last two rows.  The even block of an odd-length ``T``
-    scales its last coupling by ``sqrt(2)``; the balanced scaling undoes
-    that, so ``hi`` is never looser than ``T``'s own bound: about ``dk/2``
-    above ``lo`` for small ``dalpha``, where the block's is ``dk^2/20``.
     """
     d, e = diag.tolist(), [0.0] + off.tolist()
     upper = e[1:] + [0.0]
     rows = diag + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
     lo, hi = float(np.max(diag)), float(np.max(rows))
-    if off.size and off[-1]:  # rows -2 and -1 become inner + c*w and d[-1] + c/w
-        c = abs(e[-1])
-        inner = float(rows[-2]) - c
-        drift = d[-1] - inner
-        root = math.hypot(drift, 2.0 * c)
-        w = (drift + root) / (2.0 * c) if drift > 0 else 2.0 * c / (root - drift)
-        hi = max(float(np.max(rows[:-2], initial=-math.inf)), inner + c * w, d[-1] + c / w)
     guard = float(np.finfo(float).eps) * max(abs(lo), abs(hi), 1.0)
 
     x, floor = np.ones(len(d)), None

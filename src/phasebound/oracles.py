@@ -4,7 +4,10 @@ Window probabilities are integrated with composite Simpson on a
 pointwise-evaluated density, the top eigenvalue is re-derived from the power
 iterates of a random start, and the variational bound is probed with seeded
 random states on the dense kernel.  Agreement between these and the closed
-forms is what the test suite leans on.
+forms is what the test suite leans on.  Each oracle takes only the parameters
+its callers vary: ``power_iteration`` its cap on kernel products,
+``random_state_search`` its trial count and seed.  The Simpson interval
+count and the power-iteration tolerance and seed are module constants.
 
 The power-iteration oracle multiplies by the kernel through
 ``kernel.kernel_operator``, the FFT product that ``leading_eigenpair`` and
@@ -28,26 +31,11 @@ from .kernel import build_kernel, check_domain, kernel_operator
 from .states import TWO_PI, FockState, PhaseWindow
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the brute-force checks; defaults suit the test suite."""
-
-    quadrature_points: int = 4096  # Simpson subintervals per full circle
-    trials: int = 1000
-    seed: int = 0
-    power_tolerance: float = 1e-12
-    max_iterations: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.quadrature_points <= 0 or self.trials <= 0 or self.max_iterations <= 0:
-            raise ValueError("counts must be positive")
-        if not 0.0 < self.power_tolerance <= 1e-6:
-            raise ValueError("power_tolerance must lie in (0, 1e-6]")
+# Simpson subintervals per full circle
+_QUADRATURE_INTERVALS = 4096
 
 
-def quadrature_probability(
-    state: FockState, window: PhaseWindow, cfg: OracleConfig = OracleConfig()
-) -> float:
+def quadrature_probability(state: FockState, window: PhaseWindow) -> float:
     """Composite-Simpson integral of the canonical phase density over the window.
 
     The density is evaluated directly from the Fourier sum so this path stays
@@ -56,7 +44,7 @@ def quadrature_probability(
     if window.width == 0.0:
         return 0.0
     lo, hi = window.bounds
-    nsub = int(round(cfg.quadrature_points * window.width / TWO_PI))
+    nsub = int(round(_QUADRATURE_INTERVALS * window.width / TWO_PI))
     nsub = max(2, nsub + (nsub % 2))
     phi = np.linspace(lo, hi, nsub + 1)
     j = np.arange(state.size)
@@ -82,10 +70,14 @@ class PowerIterationResult:
 # most Krylov vectors one Lanczos run keeps before it restarts from its Ritz
 # vector; the basis takes O(_BASIS * dk) memory
 _BASIS = 32
+# residual that declares the power-iteration pair converged, and the seed of
+# its start vector
+_POWER_TOLERANCE = 1e-12
+_POWER_SEED = 0
 
 
 def power_iteration(
-    delta_alpha: float, delta_k: int, cfg: OracleConfig = OracleConfig()
+    delta_alpha: float, delta_k: int, max_iterations: int = 100_000
 ) -> PowerIterationResult:
     """Dominant eigenpair of the kernel: the Rayleigh-Ritz pair of the Krylov
     space spanned by the power iterates of a seeded start.
@@ -94,11 +86,11 @@ def power_iteration(
     reorthogonalisation (two Gram-Schmidt passes), and the top eigenpair of
     its tridiagonal projection is the Ritz pair (Parlett, *The Symmetric
     Eigenvalue Problem*, ch. 13).  A run stops when the Lanczos estimate
-    ``beta_k |y_k|`` of the Ritz residual reaches ``power_tolerance``, or when
+    ``beta_k |y_k|`` of the Ritz residual reaches ``_POWER_TOLERANCE``, or when
     it holds ``_BASIS`` vectors; the next run starts from the Ritz vector.
     The first product of each run gives the start's true residual
     ``||G x - (x.Gx) x||``, and only that residual declares convergence
-    (``<= power_tolerance``).  A start whose product is zero lies in the
+    (``<= _POWER_TOLERANCE``).  A start whose product is zero lies in the
     kernel's null space and is drawn again.  ``iterations`` counts kernel
     products, which ``max_iterations`` caps.
 
@@ -108,14 +100,16 @@ def power_iteration(
     ``converged=False`` and returns the last Ritz pair with the Lanczos
     estimate as its residual.  Neither condition raises: callers use the
     flags to skip comparisons.  ``dalpha == 0`` gives the zero kernel and
-    raises DomainError.
+    raises DomainError, and ``max_iterations < 1`` ValueError.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     check_domain(delta_alpha, delta_k)
     if delta_alpha == 0.0:
         raise DomainError("power iteration needs a nonzero kernel")
     dim = delta_k + 1
     apply = kernel_operator(delta_alpha, dim)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_POWER_SEED)
     x = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     basis = np.empty((_BASIS, dim))
@@ -124,7 +118,7 @@ def power_iteration(
     projection = np.zeros((_BASIS, _BASIS))
 
     value, residual, products = 0.0, np.inf, 0
-    while products < cfg.max_iterations:
+    while products < max_iterations:
         w = apply(x)
         products += 1
         if not w.any():  # start landed in the kernel's null space
@@ -133,7 +127,7 @@ def power_iteration(
             continue
         value = float(x @ w)
         residual = float(np.linalg.norm(w - value * x))
-        if residual <= cfg.power_tolerance:
+        if residual <= _POWER_TOLERANCE:
             return PowerIterationResult(
                 value=value,
                 vector=x,
@@ -157,9 +151,9 @@ def power_iteration(
             norm = float(np.linalg.norm(w))
             residual = norm * abs(float(ritz[-1, -1]))
             if (
-                residual <= cfg.power_tolerance
+                residual <= _POWER_TOLERANCE
                 or size == _BASIS
-                or products == cfg.max_iterations
+                or products == max_iterations
             ):
                 break
             projection[size, size - 1] = norm
@@ -180,21 +174,24 @@ def power_iteration(
 
 
 def random_state_search(
-    delta_alpha: float, delta_k: int, cfg: OracleConfig = OracleConfig()
+    delta_alpha: float, delta_k: int, trials: int = 1000, seed: int = 0
 ) -> float:
     """Best quadratic-form value over seeded random normalized states.
 
     States are drawn with complex Gaussian amplitudes on {0..dk} (the
     rotation-invariant distribution on the sphere), one child seed
     ``seed + trial`` per trial so runs are reproducible and trials could be
-    farmed out without changing the result.
+    farmed out without changing the result.  ``trials < 1`` raises
+    ValueError.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     check_domain(delta_alpha, delta_k)
     g = build_kernel(delta_alpha, delta_k).entries
     dim = delta_k + 1
-    states = np.empty((cfg.trials, dim), dtype=np.complex128)
-    for t in range(cfg.trials):
-        z = np.random.default_rng(cfg.seed + t).standard_normal(2 * dim)
+    states = np.empty((trials, dim), dtype=np.complex128)
+    for t in range(trials):
+        z = np.random.default_rng(seed + t).standard_normal(2 * dim)
         states[t] = z[:dim] + 1j * z[dim:]
     norms = np.linalg.norm(states, axis=1)
     norms[norms == 0.0] = 1.0  # measure-zero guard; value 0 cannot win

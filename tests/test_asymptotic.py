@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phasebound import (
+    ConvergenceFailureError,
     DomainError,
-    NoConvergenceError,
     asymptotic_least_upper_bound,
     concentration_parameter,
     eigensystem,
@@ -43,7 +43,7 @@ class TestAsymptoticProblem:
         assert 2.0 * _sinc_kernel(0.8, np.array(0.3), np.array(0.3)) == pytest.approx(0.8)
 
     def test_taylor_switch_is_continuous(self):
-        # series branch below |x| = 1e-4 must match the direct sinc there
+        # np.sinc must match the direct quotient just below |x| = 1e-4
         c = 0.5 * np.pi * 2.0
         for factor in (0.2, 0.9, 0.999):
             d = factor * 1e-4 / c
@@ -156,7 +156,7 @@ class TestGaussLegendre:
 
         monkeypatch.setattr(asym, "_NEWTON_STEPS", 1)
         gauss_legendre.cache_clear()
-        with pytest.raises(NoConvergenceError):
+        with pytest.raises(ConvergenceFailureError, match="nodes for n=64 did not converge"):
             gauss_legendre(64)
 
     @pytest.mark.parametrize("nodes", [1024, 4096])
@@ -196,11 +196,10 @@ class TestAsymptoticLeastUpperBound:
 
     def test_node_cap_failure(self, monkeypatch):
         # cap the refinement below its first comparison to exercise the error path
-        from phasebound import NoConvergenceError
         import phasebound.asymptotic as asym
 
         monkeypatch.setattr(asym, "_MAX_NODES", 32)
-        with pytest.raises(NoConvergenceError):
+        with pytest.raises(ConvergenceFailureError, match="still moving by .* at 32 nodes"):
             asymptotic_least_upper_bound(1.0)
 
 

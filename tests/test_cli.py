@@ -280,6 +280,29 @@ class TestCurve:
         with pytest.raises(Exception):
             parse_dk_list("2.5")
 
+    @pytest.mark.parametrize(
+        "text,message", [(",", "dk list is empty"), ("0,-1", "dk entries must be >= 0")]
+    )
+    def test_dk_list_rejected(self, tmp_path, capsys, text, message):
+        # parse_dk_list is the only check: from the flag and from the config
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--dk", text, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = tmp_path / "curve.cfg"
+        cfg.write_text(f"dk = {text}\noutput = {out}\n")
+        assert main(["curve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_node_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the limit's node-doubling cap is a numerical failure
+        import phasebound.asymptotic as asym
+
+        monkeypatch.setattr(asym, "_MAX_NODES", 32)
+        argv = ["curve", "--dk", "inf", "--xi-stop", "1", "--output", str(tmp_path / "c.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: top eigenvalue still moving")
+
 
 class TestDistribution:
     def write_state(self, tmp_path, re, im, offset=0):
@@ -466,6 +489,21 @@ class TestSpectrum:
         out = tmp_path / "s.csv"
         assert main(["spectrum", *flags, "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an input too large to allocate is an input error; the solver is
+        # replaced so that nothing is allocated for real
+        import phasebound.cli as cli
+
+        def too_large(dalpha, dk):
+            raise MemoryError("Unable to allocate 67.1 TiB")
+
+        monkeypatch.setattr(cli, "eigensystem", too_large)
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--dalpha", "0.001", "--dk", "3000000", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 67.1 TiB\n"
         assert not out.exists()
 
 

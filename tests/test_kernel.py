@@ -287,6 +287,24 @@ class TestLeadingEigenpair:
             leading_eigenpair(TWO_PI * xi / (dk + 1), dk)
         assert rows and max(rows) <= 32
 
+    def test_factorisations_per_call(self, monkeypatch):
+        # the plain Gershgorin row bound starts the bracket; Temple's update
+        # keeps the count low (without it the mean here is about 48)
+        factor = kernel_module._factor
+        calls = []
+
+        def counted(*args):
+            calls[-1] += 1
+            return factor(*args)
+
+        monkeypatch.setattr(kernel_module, "_factor", counted)
+        for dk in (1, 2, 3, 5, 16, 40, 100, 126, 200, 500, 1000, 2000, 3000):
+            for dalpha in np.linspace(0.05, TWO_PI, 25, endpoint=False):
+                calls.append(0)
+                leading_eigenpair(dalpha, dk)
+        assert np.mean(calls) <= 16.0  # 15.90 measured
+        assert max(calls) <= 52
+
     @pytest.mark.parametrize("dk", [1, 2, 3, 5, 16, 40, 100, 200, 1000, 3000, 3001])
     def test_gram_crossover(self, dk, monkeypatch):
         # the Gram route exactly where the truncation K stays at or below M/4;

@@ -1,12 +1,13 @@
 """Brute-force oracles and their agreement with the closed forms."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from phasebound import (
     DomainError,
     FockState,
-    OracleConfig,
     PhaseWindow,
     cauchy_bound,
     interval_probability,
@@ -21,26 +22,30 @@ from conftest import TWO_PI, random_states
 
 
 class TestOracleConfig:
+    """The oracles' settable values: power_iteration's product cap and
+    random_state_search's trial count and seed; the rest are constants."""
+
     def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.quadrature_points == 4096
-        assert cfg.trials == 1000
-        assert cfg.power_tolerance == 1e-12
-        assert cfg.max_iterations == 100_000
+        import phasebound.oracles as oracles
+
+        def defaults(fn):
+            params = inspect.signature(fn).parameters.values()
+            return {p.name: p.default for p in params if p.default is not p.empty}
+
+        assert defaults(power_iteration) == {"max_iterations": 100_000}
+        assert defaults(random_state_search) == {"trials": 1000, "seed": 0}
+        assert defaults(quadrature_probability) == {}
+        assert oracles._QUADRATURE_INTERVALS == 4096
+        assert oracles._POWER_TOLERANCE == 1e-12
+        assert oracles._POWER_SEED == 0
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"quadrature_points": 0},
-            {"trials": -1},
-            {"max_iterations": 0},
-            {"power_tolerance": 0.0},
-            {"power_tolerance": 1e-5},
-        ],
+        "kwargs", [{"trials": 0}, {"trials": -1}, {"max_iterations": 0}]
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            OracleConfig(**kwargs)
+        oracle = random_state_search if "trials" in kwargs else power_iteration
+        with pytest.raises(ValueError, match="must be >= 1"):
+            oracle(1.0, 2, **kwargs)
 
 
 class TestQuadratureProbability:
@@ -93,9 +98,8 @@ class TestPowerIteration:
             power_iteration(0.0, 2)
 
     def test_deterministic(self):
-        cfg = OracleConfig(seed=5)
-        a = power_iteration(2.2, 6, cfg)
-        b = power_iteration(2.2, 6, cfg)
+        a = power_iteration(2.2, 6)
+        b = power_iteration(2.2, 6)
         assert a.value == b.value
         assert np.array_equal(a.vector, b.vector)
 
@@ -128,7 +132,7 @@ class TestPowerIteration:
         cases = [(40, 8), (40, 16)] + [(dk, xi) for dk in (200, 1000, 3000) for xi in (8, 16, 64)]
         for dk, xi in cases:
             dalpha = TWO_PI * xi / (dk + 1)
-            res = power_iteration(dalpha, dk, OracleConfig(max_iterations=64))
+            res = power_iteration(dalpha, dk, max_iterations=64)
             assert res.converged and not res.gap_degenerate
             assert abs(res.value - leading_eigenpair(dalpha, dk)[0]) <= 1e-12
 
@@ -153,30 +157,30 @@ class TestPowerIteration:
         # products at the parent of the in-place projection
         for dk, xi, products in ((40, 16, 24), (1000, 2, 8), (1000, 256, 64), (3000, 64, 32)):
             sizes.clear()
-            res = power_iteration(TWO_PI * xi / (dk + 1), dk, OracleConfig(max_iterations=64))
+            res = power_iteration(TWO_PI * xi / (dk + 1), dk, max_iterations=64)
             assert res.iterations == products
             assert all(b in (1, a + 1) for a, b in zip(sizes, sizes[1:]))
 
     def test_product_cap(self):
-        res = power_iteration(TWO_PI * 3.0 / 1001, 1000, OracleConfig(max_iterations=3))
+        res = power_iteration(TWO_PI * 3.0 / 1001, 1000, max_iterations=3)
         assert not res.converged and not res.gap_degenerate
         assert res.iterations == 3
 
 
 class TestRandomStateSearch:
     def test_single_support_is_exact(self):
-        found = random_state_search(1.0, 0, OracleConfig(trials=50))
+        found = random_state_search(1.0, 0, trials=50)
         assert found == pytest.approx(1.0 / TWO_PI, rel=1e-14)
 
     def test_two_by_two_seeded_range(self):
         lam = 0.5 + 1.0 / np.pi
-        found = random_state_search(np.pi, 1, OracleConfig(seed=42))
+        found = random_state_search(np.pi, 1, seed=42)
         assert found <= lam + 1e-12
         assert found > 0.78  # soft: best of 1000 lands near the top
 
     def test_never_exceeds_cauchy_bound(self):
         for dalpha, dk in ((0.4, 2), (2.0, 5), (6.0, 3)):
-            found = random_state_search(dalpha, dk, OracleConfig(trials=200))
+            found = random_state_search(dalpha, dk, trials=200)
             assert found <= cauchy_bound(dalpha, dk) + 1e-12
 
     def test_supremum_soundness(self):
@@ -185,5 +189,5 @@ class TestRandomStateSearch:
             assert random_state_search(dalpha, dk) <= lam + 1e-12
 
     def test_deterministic(self):
-        cfg = OracleConfig(seed=9, trials=300)
-        assert random_state_search(1.9, 5, cfg) == random_state_search(1.9, 5, cfg)
+        kwargs = {"seed": 9, "trials": 300}
+        assert random_state_search(1.9, 5, **kwargs) == random_state_search(1.9, 5, **kwargs)

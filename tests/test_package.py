@@ -19,3 +19,17 @@ def test_exports_resolve():
     assert not any(hasattr(phasebound, name) for name in removed)
     assert "nystrom_eigenvalues" in names
     assert phasebound.nystrom_eigenvalues is phasebound.asymptotic.nystrom_eigenvalues
+    for name in ("OracleConfig", "NoConvergenceError"):
+        assert name not in names
+        assert not hasattr(phasebound, name)
+
+
+def test_traced_benchmark_names():
+    # perfbench/tracing.py wraps the CLI writers by name and reads these
+    # result fields; renaming or deleting one breaks `run.py --trace 1`
+    import phasebound.cli as cli
+
+    for name in ("write_curve_csv", "write_curve_json", "write_gnuplot_script"):
+        assert callable(getattr(cli, name))
+    assert phasebound.build_kernel(1.0, 4).entries.shape == (5, 5)
+    assert phasebound.power_iteration(1.0, 4).iterations >= 1
