@@ -2,9 +2,9 @@
 """How fast the finite-support bound approaches its infinite-precision limit.
 
 For a fixed concentration parameter the discrete kernel at
-``dalpha = 2*pi*xi/(dk+1)`` and the Nystrom discretization solve the same
-operator two different ways; the table shows their difference shrinking as
-the support grows.  The last column, ``(dk+1)^2 * difference``, settles to
+``dalpha = 2*pi*xi/(dk+1)`` approaches the sinc operator of the limit, whose
+top eigenvalue comes from its Legendre-basis blocks; the table shows their
+difference shrinking as the support grows.  The last column, ``(dk+1)^2 * difference``, settles to
 the constant ``C(xi)`` of the ``1/(dk+1)^2`` approach.
 """
 

@@ -11,7 +11,7 @@ ships brute-force oracles plus a CLI for reproducible sweeps.
 from .asymptotic import (
     asymptotic_least_upper_bound,
     concentration_parameter,
-    nystrom_eigenvalues,
+    prolate_eigenvalues,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -35,6 +35,7 @@ from .kernel import (
 )
 from .oracles import (
     PowerIterationResult,
+    nystrom_eigenvalues,
     power_iteration,
     quadrature_probability,
     random_state_search,
@@ -46,6 +47,7 @@ from .povm import (
     number_probability,
     phase_density,
     reduce,
+    uniform_phase_density,
 )
 from .states import (
     FockState,
@@ -91,7 +93,9 @@ __all__ = [
     "phase_density",
     "phase_shift",
     "power_iteration",
+    "prolate_eigenvalues",
     "quadrature_probability",
     "random_state_search",
     "reduce",
+    "uniform_phase_density",
 ]

@@ -2,20 +2,29 @@
 
 Rescaling the support {0..dk} onto [-1, 1] and letting dk grow turns the
 matrix eigenproblem into a homogeneous Fredholm integral equation with the
-sinc kernel ``sin(pi*xi*(z-z')/2) / (pi*(z-z'))``; its eigenvalues depend
-only on the concentration parameter ``xi = dalpha*(dk+1)/(2*pi)``.  The
-operator is discretized here with a Gauss-Legendre Nystrom rule, which
-converges spectrally because the kernel is entire; doubling the node count
-supplies an a posteriori error estimate.  The nodes come from Newton's
-method on the Legendre three-term recurrence, in O(n^2) time, rather than
-from a companion-matrix eigensolve, and each rule is built once per node
-count.  The symmetric nodes and the even kernel make the discretized matrix
-centrosymmetric, so it is solved through its even and odd half-blocks
-(``kernel.parity_blocks``), as the dense kernel is in ``kernel.eigensystem``.
-The module answers two questions: ``nystrom_eigenvalues`` gives the
-eigenvalues at ``(xi, nodes)``, from the two blocks and with no eigenvectors
-formed, and ``asymptotic_least_upper_bound`` gives the top eigenvalue with
-its node-doubling error estimate.
+sinc kernel ``sin(c*(z-z')) / (pi*(z-z'))``, ``c = pi*xi/2``; its eigenvalues
+depend only on the concentration parameter ``xi = dalpha*(dk+1)/(2*pi)``.
+The integral operator commutes with the prolate differential operator
+``L = -(d/dx)(1-x^2)(d/dx) + c^2 x^2``, whose eigenfunctions ``psi_n`` it
+shares.  In the normalized Legendre basis ``sqrt(k+1/2) P_k`` the operator
+``L`` splits by parity into two blocks that are tridiagonal in the degree
+(Bouwkamp 1947; Xiao, Rokhlin & Yarvin 2001, *Inverse Problems* 17), the
+continuum form of the Gram-basis block that ``kernel._gram_block`` builds.
+Each eigenvalue of the sinc operator then follows from the coefficients of
+its eigenfunction without cancellation: with ``mu_n`` the modulus of the
+eigenvalue of ``f -> int_{-1}^{1} exp(i c x t) f(t) dt``,
+
+    even n:  mu_n = sqrt(2) beta_0 / psi_n(0)
+    odd n:   mu_n = c sqrt(2/3) beta_1 / psi_n'(0)
+    lambda_n = c mu_n^2 / (2*pi),
+
+so every value is a square and none comes out negative.  Doubling the degree
+count until two truncations agree supplies an a posteriori error estimate.
+The module answers two questions: ``prolate_eigenvalues`` gives the first
+eigenvalues at ``xi``, and ``asymptotic_least_upper_bound`` gives the top
+one with its doubling difference.  The Gauss-Legendre Nystrom rule that
+solves the same operator by quadrature is the independent oracle
+(``oracles.nystrom_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -24,16 +33,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DomainError
-from .kernel import check_domain, parity_blocks
+from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
+from .kernel import check_domain
 from .states import TWO_PI
 
 _REFINE_TOL = 1e-10
-_FAIL_TOL = 1e-8
-_START_NODES = 32
-_MAX_NODES = 4096
-_NEWTON_STEPS = 10
-_NEWTON_TOL = 1e-17  # node error left after the last Newton step
+# an eigenvalue the doubling did not compare, or an index past the
+# truncation (printed as 0), must lie below this
+_TAIL_TOL = 1e-30
+_START_DEGREES = 64
+_MAX_DEGREES = 4096
 
 
 def concentration_parameter(delta_alpha: float, delta_k: int) -> float:
@@ -42,135 +51,146 @@ def concentration_parameter(delta_alpha: float, delta_k: int) -> float:
     return delta_alpha * (delta_k + 1) / TWO_PI
 
 
-def _sinc_kernel(xi: float, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    """The sinc kernel at concentration ``xi``; broadcasts over the arguments.
-
-    ``sin(pi*xi*d/2) / (pi*d)`` is ``(xi/2) sinc(xi*d/2)`` in numpy's
-    normalised ``sinc``, which is 1 at 0 and needs no series near it.
-    """
-    half = 0.5 * xi
-    return half * np.sinc(half * (z - zp))
-
-
 @lru_cache(maxsize=8)
-def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes, ascending, and weights on [-1, 1], read-only.
+def _legendre_terms(degrees: int) -> tuple[np.ndarray, ...]:
+    """The parts of the blocks that do not depend on ``c``, over degrees
+    ``k[p, i] = 2i + p`` below ``degrees`` (an even count), row ``p = 0``
+    for the even block and ``p = 1`` for the odd one; read-only.
 
-    Newton's method on ``P_n`` from Tricomi's guesses for the nonnegative
-    half, with ``P_n`` and ``P_n'`` from the three-term recurrence, vectorised
-    over the nodes: O(n^2) (Hale & Townsend 2013, SIAM J. Sci. Comput. 35).
-    Weights are ``2 / ((1 - x^2) P_n'(x)^2)``; both halves are mirrored, so
-    the nodes are exactly antisymmetric, with the middle node exactly 0 for
-    odd ``n``.  Legendre's equation gives ``P_n''/P_n' = 2x/(1-x^2)`` at a
-    root, so a Newton step ``s`` leaves an error of about
-    ``s^2 |x|/(1-x^2)``; iteration stops once that is below ``_NEWTON_TOL``
-    for every node, and raises ConvergenceFailureError if it is not after
-    ``_NEWTON_STEPS`` steps.
-
-    Each rule is built once per node count and shared: the node-doubling
-    loop of ``asymptotic_least_upper_bound`` asks for the 32- and 64-node
-    rules for every ``xi``, and their Newton iteration cost more than the
-    32- and 64-node solves themselves.
+    The block of ``L`` has diagonal ``k(k+1) + c^2 a_k`` and off-diagonal
+    ``c^2 b_k`` with ``a_k = (2k(k+1)-1)/((2k+3)(2k-1))`` and ``b_k =
+    (k+1)(k+2)/((2k+3) sqrt((2k+1)(2k+5)))``.  ``weight`` holds
+    ``sqrt(k+1/2) P_k(0)`` for the even block and ``sqrt(k+1/2) P_k'(0)``
+    for the odd one, so that ``weight @ beta`` is ``psi(0)`` or
+    ``psi'(0)``: ``P_{2i}(0)`` is a cumulative product of its ratios
+    ``-(2i-1)/(2i)``, and ``P_k'(0) = k P_{k-1}(0)`` for odd ``k``.
     """
-    k = np.arange(1, (nodes + 1) // 2 + 1)
-    theta = np.pi * (4 * k - 1) / (4 * nodes + 2)
-    x = np.cos(theta) * (1 - (nodes - 1) / (8 * nodes**3))
-    for _ in range(_NEWTON_STEPS):
-        p, dp = _legendre(nodes, x)
-        step = p / dp
-        x -= step
-        if np.max(step * step * np.abs(x) / (1.0 - x * x)) <= _NEWTON_TOL:
-            break
-    else:
-        raise ConvergenceFailureError(
-            f"Gauss-Legendre nodes for n={nodes} did not converge"
-        )
-    _, dp = _legendre(nodes, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    m = nodes // 2
-    if nodes % 2:
-        x[-1] = 0.0
-    rule = np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
-    for arr in rule:
+    k = np.arange(float(degrees)).reshape(-1, 2).T
+    a = (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    kl = k[:, :-1]
+    b = (kl + 1) * (kl + 2) / ((2 * kl + 3) * np.sqrt((2 * kl + 1) * (2 * kl + 5)))
+    j = np.arange(1, degrees // 2)
+    at_zero = np.cumprod(np.concatenate(([1.0], (1 - 2 * j) / (2 * j))))
+    weight = np.sqrt(k + 0.5) * at_zero
+    weight[1] *= k[1]
+    terms = (k * (k + 1), a, b, weight)
+    for arr in terms:
         arr.flags.writeable = False
-    return rule
+    return terms
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``P_n(x)`` and ``P_n'(x)`` by ``(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}``.
+def _first_coefficients(
+    diag: np.ndarray, off: np.ndarray, chi: np.ndarray, vectors: np.ndarray
+) -> np.ndarray:
+    """First coefficient of each eigenvector, to relative accuracy.
 
-    The integer coefficients are exact: a rounded ratio such as ``k/(k+1)``
-    would be the same for every node and bias all the weights one way (their
-    sum came out 6e-15 above 2 at n = 4096).
+    ``eigh`` gets every coefficient to about ``eps`` absolute, so a first
+    coefficient of 1e-40 would come out as noise, and with it the eigenvalue
+    (whose square it sets).  Between the top row and its largest coefficient
+    an eigenvector grows with the row, and the ratios ``r_i =
+    beta_i/beta_{i+1}`` follow stably from the top row, ``r_i = -off_i /
+    (diag_i - chi + off_{i-1} r_{i-1})``; their product down from the largest
+    coefficient gives the first one.  Past its largest coefficient a column's
+    recurrence runs in its unstable direction and may overflow; those ratios
+    are never used.
     """
-    prev, cur = np.ones_like(x), x.copy()
-    xp = np.empty_like(x)
-    for k in range(1, n):
-        np.multiply(x, cur, out=xp)
-        xp *= 2 * k + 1
-        prev *= -k
-        prev += xp
-        prev /= k + 1
-        prev, cur = cur, prev
-    return cur, n * (x * cur - prev) / (x * x - 1.0)
+    parity, column = np.indices(chi.shape)
+    peak = np.argmax(np.abs(vectors), axis=1)
+    top = int(peak.max())
+    ratios = np.ones((top + 1,) + chi.shape)
+    r = ratios[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(top):
+            den = diag[:, i, None] - chi
+            if i:
+                den += off[:, i - 1, None] * r
+            r = ratios[i + 1] = -off[:, i, None] / den
+        np.cumprod(ratios, axis=0, out=ratios)
+    return vectors[parity, peak, column] * ratios[peak, parity, column]
 
 
-def _nystrom_blocks(xi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd half-blocks of the weighted Nystrom matrix.
+def _prolate_values(c: float, degrees: int, count: int) -> np.ndarray:
+    """The first ``min(count, degrees)`` eigenvalues of the sinc operator
+    from the blocks truncated to degrees below ``degrees``; the odd block is
+    left out when only the top value is asked for."""
+    size = min(count, degrees)
+    parities = min(size, 2)
+    kk, a, b, weight = (t[:parities] for t in _legendre_terms(degrees))
+    c2 = c * c
+    diag, off = kk + c2 * a, c2 * b
+    rows = degrees // 2
+    blocks = np.zeros((parities, rows, rows))
+    i = np.arange(rows)
+    blocks[:, i, i] = diag
+    blocks[:, i[1:], i[:-1]] = off  # eigh reads the lower triangle
+    chi, vectors = np.linalg.eigh(blocks)
+    # ascending eigenvalue i of block p is psi_{2i+p}
+    used = (size + 1) // 2
+    chi, vectors = chi[:, :used], vectors[:, :, :used]
+    psi = np.einsum("pk,pkn->pn", weight, vectors)
+    scale = np.array([[np.sqrt(2.0)], [c * np.sqrt(2.0 / 3.0)]])[:parities]
+    mu = scale * _first_coefficients(diag, off, chi, vectors) / psi
+    return (c * mu * mu / TWO_PI).T.ravel()[:size]
 
-    Gauss-Legendre nodes are symmetric (``z[n-1-i] = -z[i]``) and the kernel
-    depends on ``z - z'`` and is even, so ``a = sqrt(w_i) K(z_i, z_j) sqrt(w_j)``
-    is centrosymmetric and ``kernel.parity_blocks`` splits it.  Only the
-    first ``n - n//2`` kernel rows are evaluated.
 
-    Raises DomainError unless ``xi`` is finite and >= 0 and ``nodes`` is an
-    integer >= 2.
+def _prolate_solve(xi: float, count: int) -> tuple[np.ndarray, float]:
+    """The first ``count`` eigenvalues, descending, and the largest change
+    between the last two truncations.
+
+    The degree count doubles from 64 until two successive truncations agree
+    to 1e-10 on every value they share and every value the coarser one did
+    not compute lies below 1e-30; indices past the truncation are 0.  At
+    4096 degrees the doubling stops with ConvergenceFailureError.  A value
+    above 1 by less than the refinement tolerance is rounding and becomes 1;
+    a larger one raises InternalConsistencyError.
     """
     if not np.isfinite(xi) or xi < 0.0:
         raise DomainError(f"xi {xi} must be finite and >= 0")
-    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
-        raise DomainError(f"nodes {nodes} must be an integer >= 2")
-    xi, nodes = float(xi), int(nodes)
-    z, w = gauss_legendre(nodes)
-    sw = np.sqrt(w)
-    top = nodes - nodes // 2
-    rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]
-    return parity_blocks(rows)
+    c = 0.5 * np.pi * abs(float(xi))  # abs: xi = -0.0 would print -0
+    degrees, prev = _START_DEGREES, None
+    diff = tail = np.inf
+    while degrees <= _MAX_DEGREES:
+        vals = _prolate_values(c, degrees, count)
+        if prev is not None:
+            diff = float(np.max(np.abs(vals[: prev.size] - prev)))
+            tail = float(np.max(vals[prev.size :], initial=0.0))
+            if diff < _REFINE_TOL and tail < _TAIL_TOL:
+                break
+        prev = vals
+        degrees *= 2
+    else:
+        raise ConvergenceFailureError(
+            f"eigenvalues still moving by {diff:.3e} (tail {tail:.3e}) "
+            f"at {_MAX_DEGREES} Legendre degrees"
+        )
+    # a saturated value rounds above 1 by a few hundred eps at large xi (the
+    # top by about 0.6 c eps), well within the refinement tolerance
+    if vals.max() > 1.0 + _REFINE_TOL:
+        raise InternalConsistencyError(f"eigenvalue {vals.max()!r} above 1")
+    # values within rounding of 1 may come out of order; list them descending
+    out = np.zeros(count)
+    out[: vals.size] = np.minimum(np.sort(vals)[::-1], 1.0)
+    return out, diff
 
 
-def nystrom_eigenvalues(xi: float, nodes: int) -> np.ndarray:
-    """Nystrom eigenvalues, descending, from ``eigvalsh`` on the two parity
-    blocks; no eigenvectors are formed."""
-    even, odd = _nystrom_blocks(xi, nodes)
-    vals = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
-    return vals[np.argsort(-vals, kind="stable")]
+def prolate_eigenvalues(xi: float, count: int) -> np.ndarray:
+    """The first ``count`` eigenvalues of the sinc operator at ``xi``,
+    descending, each in [0, 1].
+
+    Raises DomainError unless ``xi`` is finite and >= 0 and ``count`` is an
+    integer >= 1, and ConvergenceFailureError at the truncation cap.
+    """
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        raise DomainError(f"count {count} must be an integer >= 1")
+    return _prolate_solve(xi, int(count))[0]
 
 
 def asymptotic_least_upper_bound(xi: float) -> tuple[float, float]:
-    """Largest eigenvalue of the limiting operator, with an error estimate.
+    """Largest eigenvalue of the limiting operator and its doubling
+    difference, the error estimate.
 
-    Doubles the node count from 32 until two successive values agree to
-    1e-10, capping at 4096 nodes.  Raises ConvergenceFailureError when the
-    cap is reached and the last refinement still moved by 1e-8 or more, and
-    DomainError (from ``_nystrom_blocks``) unless ``xi`` is finite and >= 0.
+    Raises DomainError unless ``xi`` is finite and >= 0, and
+    ConvergenceFailureError at the truncation cap.
     """
-    if xi == 0.0:
-        return 0.0, 0.0
-
-    nodes = _START_NODES
-    prev = None
-    diff = np.inf
-    lam = 0.0
-    while nodes <= _MAX_NODES:
-        lam = float(nystrom_eigenvalues(xi, nodes)[0])
-        if prev is not None:
-            diff = abs(lam - prev)
-            if diff < _REFINE_TOL:
-                return lam, diff
-        prev = lam
-        nodes *= 2
-    if diff >= _FAIL_TOL:
-        raise ConvergenceFailureError(
-            f"top eigenvalue still moving by {diff:.3e} at {_MAX_NODES} nodes"
-        )
-    return lam, float(diff)
+    vals, diff = _prolate_solve(xi, 1)
+    return float(vals[0]), diff

@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 from .asymptotic import (
     asymptotic_least_upper_bound,
     concentration_parameter,
-    nystrom_eigenvalues,
+    prolate_eigenvalues,
 )
 from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
 from .kernel import cauchy_bound, eigensystem, least_upper_bound
 from .oracles import power_iteration
-from .povm import conditional_probability, interval_probability, phase_density
+from .povm import conditional_probability, interval_probability, uniform_phase_density
 from .states import TWO_PI, FockState, NumberWindow, PhaseWindow, normalize
 
 EXIT_OK = 0
@@ -295,11 +295,10 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise DomainError("points must be >= 1")
 
-    phi = [-math.pi + TWO_PI * i / args.points for i in range(args.points)]
-    dens = phase_density(state, None, phi)
+    phi, dens = uniform_phase_density(state, args.points)
     out = Path(args.output)
     table = [0.0] * (2 * args.points)
-    table[::2], table[1::2] = phi, dens.tolist()
+    table[::2], table[1::2] = phi.tolist(), dens.tolist()
     rows = "\n".join([f"{_FLOAT},{_FLOAT}"] * args.points) % tuple(table)
     out.write_text(f"phi,density\n{rows}\n", encoding="ascii")
 
@@ -333,7 +332,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if args.xi is None:
             raise DomainError("the continuum form needs --xi")
         nodes = args.nodes if args.nodes is not None else 64
-        vals = nystrom_eigenvalues(args.xi, nodes)
+        if nodes < 2:
+            raise DomainError(f"nodes {nodes} must be an integer >= 2")
+        vals = prolate_eigenvalues(args.xi, nodes)
         header, tail = "index,eigenvalue,nodes", f",{nodes}"
     rows = "\n".join(f"{i},{_FLOAT}{tail}" for i in range(vals.size)) % tuple(vals.tolist())
     out.write_text(f"{header}\n{rows}\n", encoding="ascii")
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--dalpha", type=float, help="discrete form: phase precision")
     p_spec.add_argument("--dk", type=int, help="discrete form: number precision")
     p_spec.add_argument("--xi", type=float, help="continuum form: concentration")
-    p_spec.add_argument("--nodes", type=int, help="continuum form: quadrature nodes")
+    p_spec.add_argument("--nodes", type=int, help="continuum form: how many eigenvalues")
     p_spec.add_argument("--output", type=str, required=True)
     p_spec.add_argument("--degrees", action="store_true", help="angles in degrees")
     p_spec.set_defaults(func=cmd_spectrum)

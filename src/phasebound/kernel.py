@@ -11,8 +11,8 @@ Two solvers answer two questions.  ``eigensystem`` is the dense full-spectrum
 solve, O(dk^3).  The kernel is centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``),
 so it maps even and odd sequences to themselves, and ``eigensystem`` solves
 its even and odd half-blocks (``parity_blocks``; ``parity_vectors`` maps
-their eigenvectors back, and ``asymptotic`` splits its Nystrom matrix the
-same way), two dense solves of half the size.  ``leading_eigenpair``
+their eigenvectors back, and the Nystrom oracle in ``oracles`` splits its
+matrix the same way), two dense solves of half the size.  ``leading_eigenpair``
 returns the top pair in O(dk log dk) without forming the kernel: the kernel
 is the discrete prolate matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and
 it commutes with Slepian's tridiagonal matrix (Slepian 1978, "Prolate

@@ -3,10 +3,12 @@
 Window probabilities are integrated with composite Simpson on a
 pointwise-evaluated density, the top eigenvalue is re-derived from the power
 iterates of a random start, and the variational bound is probed with seeded
-random states on the dense kernel.  Agreement between these and the closed
-forms is what the test suite leans on.  Each oracle takes only the parameters
-its callers vary: ``power_iteration`` its cap on kernel products,
-``random_state_search`` its trial count and seed.  The Simpson interval
+random states on the dense kernel; the spectrum of the ``dk -> inf`` sinc
+operator is re-derived by Gauss-Legendre quadrature.  Agreement between these
+and the closed forms is what the test suite leans on.  Each oracle takes only
+the parameters its callers vary: ``power_iteration`` its cap on kernel
+products, ``random_state_search`` its trial count and seed,
+``nystrom_eigenvalues`` its ``xi`` and node count.  The Simpson interval
 count and the power-iteration tolerance and seed are module constants.
 
 The power-iteration oracle multiplies by the kernel through
@@ -18,16 +20,28 @@ accepts it only on the residual of one more product, a different
 eigen-algorithm on a different matrix from the Sturm isolation plus
 Rayleigh-quotient inverse iteration on Slepian's tridiagonal matrix that
 gives the bound.  The tests check the FFT product against the dense matrix.
+
+``nystrom_eigenvalues`` discretizes the sinc operator with a Gauss-Legendre
+Nystrom rule, which converges spectrally because the kernel is entire.  The
+nodes come from Newton's method on the Legendre three-term recurrence, in
+O(n^2) time, rather than from a companion-matrix eigensolve.  The symmetric
+nodes and the even kernel make the discretized matrix centrosymmetric, so it
+is solved through its even and odd half-blocks (``kernel.parity_blocks``),
+with no eigenvectors formed.  It shares nothing with the Legendre-basis
+solve of ``asymptotic.prolate_eigenvalues`` but the operator: there the
+eigenvalues come from the prolate differential operator's eigenvectors,
+here from a dense matrix of kernel values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .kernel import build_kernel, check_domain, kernel_operator
+from .errors import ConvergenceFailureError, DomainError
+from .kernel import build_kernel, check_domain, kernel_operator, parity_blocks
 from .states import TWO_PI, FockState, PhaseWindow
 
 
@@ -198,3 +212,110 @@ def random_state_search(
     states /= norms[:, None]
     values = np.einsum("td,de,te->t", states.conj(), g, states).real
     return float(values.max())
+
+
+_NEWTON_STEPS = 10
+_NEWTON_TOL = 1e-17  # node error left after the last Newton step
+
+
+def _sinc_kernel(xi: float, z: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """The sinc kernel at concentration ``xi``; broadcasts over the arguments.
+
+    ``sin(pi*xi*d/2) / (pi*d)`` is ``(xi/2) sinc(xi*d/2)`` in numpy's
+    normalised ``sinc``, which is 1 at 0 and needs no series near it.
+    """
+    half = 0.5 * xi
+    return half * np.sinc(half * (z - zp))
+
+
+@lru_cache(maxsize=8)
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1], read-only.
+
+    Newton's method on ``P_n`` from Tricomi's guesses for the nonnegative
+    half, with ``P_n`` and ``P_n'`` from the three-term recurrence, vectorised
+    over the nodes: O(n^2) (Hale & Townsend 2013, SIAM J. Sci. Comput. 35).
+    Weights are ``2 / ((1 - x^2) P_n'(x)^2)``; both halves are mirrored, so
+    the nodes are exactly antisymmetric, with the middle node exactly 0 for
+    odd ``n``.  Legendre's equation gives ``P_n''/P_n' = 2x/(1-x^2)`` at a
+    root, so a Newton step ``s`` leaves an error of about
+    ``s^2 |x|/(1-x^2)``; iteration stops once that is below ``_NEWTON_TOL``
+    for every node, and raises ConvergenceFailureError if it is not after
+    ``_NEWTON_STEPS`` steps.
+
+    Each rule is built once per node count and shared: at small node counts
+    its Newton iteration costs more than the Nystrom solve itself, and the
+    oracle is called at a few node counts over many ``xi``.
+    """
+    k = np.arange(1, (nodes + 1) // 2 + 1)
+    theta = np.pi * (4 * k - 1) / (4 * nodes + 2)
+    x = np.cos(theta) * (1 - (nodes - 1) / (8 * nodes**3))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(nodes, x)
+        step = p / dp
+        x -= step
+        if np.max(step * step * np.abs(x) / (1.0 - x * x)) <= _NEWTON_TOL:
+            break
+    else:
+        raise ConvergenceFailureError(
+            f"Gauss-Legendre nodes for n={nodes} did not converge"
+        )
+    _, dp = _legendre(nodes, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    m = nodes // 2
+    if nodes % 2:
+        x[-1] = 0.0
+    rule = np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` and ``P_n'(x)`` by ``(k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}``.
+
+    The integer coefficients are exact: a rounded ratio such as ``k/(k+1)``
+    would be the same for every node and bias all the weights one way (their
+    sum came out 6e-15 above 2 at n = 4096).
+    """
+    prev, cur = np.ones_like(x), x.copy()
+    xp = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, cur, out=xp)
+        xp *= 2 * k + 1
+        prev *= -k
+        prev += xp
+        prev /= k + 1
+        prev, cur = cur, prev
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
+def _nystrom_blocks(xi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd half-blocks of the weighted Nystrom matrix.
+
+    Gauss-Legendre nodes are symmetric (``z[n-1-i] = -z[i]``) and the kernel
+    depends on ``z - z'`` and is even, so ``a = sqrt(w_i) K(z_i, z_j) sqrt(w_j)``
+    is centrosymmetric and ``kernel.parity_blocks`` splits it.  Only the
+    first ``n - n//2`` kernel rows are evaluated.
+
+    Raises DomainError unless ``xi`` is finite and >= 0 and ``nodes`` is an
+    integer >= 2.
+    """
+    if not np.isfinite(xi) or xi < 0.0:
+        raise DomainError(f"xi {xi} must be finite and >= 0")
+    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
+        raise DomainError(f"nodes {nodes} must be an integer >= 2")
+    xi, nodes = float(xi), int(nodes)
+    z, w = gauss_legendre(nodes)
+    sw = np.sqrt(w)
+    top = nodes - nodes // 2
+    rows = sw[:top, None] * _sinc_kernel(xi, z[:top, None], z[None, :]) * sw[None, :]
+    return parity_blocks(rows)
+
+
+def nystrom_eigenvalues(xi: float, nodes: int) -> np.ndarray:
+    """Nystrom eigenvalues, descending, from ``eigvalsh`` on the two parity
+    blocks; no eigenvectors are formed."""
+    even, odd = _nystrom_blocks(xi, nodes)
+    vals = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
+    return vals[np.argsort(-vals, kind="stable")]

@@ -3,7 +3,8 @@
 The canonical measurement weights every number-basis coherence equally; its
 density for a pure state is ``|sum_n psi_n exp(-i n phi)|^2 / (2*pi)``, a
 polynomial in ``z = exp(-i phi)`` evaluated by Horner's rule in memory linear
-in the number of points.  Other covariant measurements are given by a
+in the number of points, or on a uniform grid by one FFT
+(``uniform_phase_density``).  Other covariant measurements are given by a
 ``PhaseMatrix``, which checks when it is built that it defines one
 (positive semidefinite with unit diagonal), so every instance is valid.
 Interval probabilities are evaluated in closed form through the concentration
@@ -24,7 +25,7 @@ from .errors import (
     InvalidMatrixError,
 )
 from .kernel import kernel_operator
-from .states import FockState, NumberWindow, PhaseWindow
+from .states import TWO_PI, FockState, NumberWindow, PhaseWindow
 
 _VALIDITY_TOL = 1e-12
 _CLAMP_TOL = 1e-12
@@ -143,6 +144,23 @@ def phase_density(
         )
 
     return float(dens[0]) if scalar else dens
+
+
+def uniform_phase_density(state: FockState, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical density on the grid ``phi_m = -pi + 2*pi*m/points``: the
+    grid and the density at it.
+
+    There ``exp(-i j phi_m) = (-1)^j exp(-2*pi*i j m/points)``, so the
+    amplitude is the FFT of ``psi_j (-1)^j``, folded to ``points`` entries
+    (``j`` taken modulo ``points``): one O(N log N) transform in place of
+    ``phase_density``'s pass per amplitude.  ``points`` must be >= 1.
+    """
+    folded = np.zeros(-(-state.size // points) * points, dtype=np.complex128)
+    folded[: state.size] = state.amplitudes
+    folded[1 : state.size : 2] *= -1.0
+    amp = np.fft.fft(folded.reshape(-1, points).sum(axis=0))
+    phi = -np.pi + TWO_PI * np.arange(points) / points
+    return phi, (amp.real**2 + amp.imag**2) / TWO_PI
 
 
 def interval_probability(state: FockState, window: PhaseWindow) -> float:

@@ -23,6 +23,7 @@ from phasebound import (
     phase_density,
     phase_shift,
     power_iteration,
+    prolate_eigenvalues,
     random_state_search,
 )
 from phasebound.cli import main
@@ -86,18 +87,21 @@ def test_criterion_3_trace_identity(capsys):
     for da, dk in GRID:
         total = float(np.sum(eigensystem(da, dk).eigenvalues))
         worst_discrete = max(worst_discrete, abs(total - (dk + 1) * da / TWO_PI))
-    worst_nystrom = 0.0
+    worst_nystrom = worst_prolate = 0.0
     xis = sorted({da * (dk + 1) / TWO_PI for da, dk in GRID})
     for xi in xis:
         for nodes in (64, 128):
             vals = nystrom_eigenvalues(xi, nodes)
             worst_nystrom = max(worst_nystrom, abs(float(np.sum(vals)) - xi))
-    ok = worst_discrete < 1e-10 and worst_nystrom < 1e-10
+            vals = prolate_eigenvalues(xi, nodes)
+            worst_prolate = max(worst_prolate, abs(float(np.sum(vals)) - xi))
+    ok = worst_discrete < 1e-10 and worst_nystrom < 1e-10 and worst_prolate < 1e-10
     verdict(
         capsys,
         "criterion 3 trace identity",
         ok,
-        f"discrete err {worst_discrete:.2e}, nystrom err {worst_nystrom:.2e} (<1e-10)",
+        f"discrete err {worst_discrete:.2e}, nystrom err {worst_nystrom:.2e}, "
+        f"prolate err {worst_prolate:.2e} (<1e-10)",
     )
 
 

@@ -1,4 +1,5 @@
-"""Infinite number-precision limit and its Nystrom discretization."""
+"""Infinite number-precision limit: the Legendre-block solve and its Nystrom
+oracle."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from phasebound import (
     eigensystem,
     least_upper_bound,
     nystrom_eigenvalues,
+    prolate_eigenvalues,
 )
-from phasebound.asymptotic import _sinc_kernel, gauss_legendre
+from phasebound.oracles import _sinc_kernel, gauss_legendre
 from conftest import TWO_PI
 
 XI_GRID = tuple(0.25 * k for k in range(1, 17))  # 0.25 .. 4.0
@@ -152,9 +154,9 @@ class TestGaussLegendre:
             assert np.max(np.abs(z - np.polynomial.legendre.leggauss(n)[0])) <= 2e-16
 
     def test_newton_cap(self, monkeypatch):
-        import phasebound.asymptotic as asym
+        import phasebound.oracles as oracles
 
-        monkeypatch.setattr(asym, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(oracles, "_NEWTON_STEPS", 1)
         gauss_legendre.cache_clear()
         with pytest.raises(ConvergenceFailureError, match="nodes for n=64 did not converge"):
             gauss_legendre(64)
@@ -171,6 +173,7 @@ class TestGaussLegendre:
 class TestAsymptoticLeastUpperBound:
     def test_zero(self):
         assert asymptotic_least_upper_bound(0.0) == (0.0, 0.0)
+        assert not np.signbit(asymptotic_least_upper_bound(-0.0)[0])
 
     def test_small_concentration_linear(self):
         lam, err = asymptotic_least_upper_bound(0.1)
@@ -198,9 +201,137 @@ class TestAsymptoticLeastUpperBound:
         # cap the refinement below its first comparison to exercise the error path
         import phasebound.asymptotic as asym
 
-        monkeypatch.setattr(asym, "_MAX_NODES", 32)
-        with pytest.raises(ConvergenceFailureError, match="still moving by .* at 32 nodes"):
+        monkeypatch.setattr(asym, "_MAX_DEGREES", 64)
+        with pytest.raises(
+            ConvergenceFailureError, match="still moving by inf .* at 64 Legendre degrees"
+        ):
             asymptotic_least_upper_bound(1.0)
+
+
+def mp_rayleigh_step(d, o, chi, x):
+    """One Rayleigh-quotient step on the tridiagonal (d, o): solve
+    ``(T - chi) y = x`` by the Thomas algorithm, normalize, take the
+    quotient."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(d)
+    lower, y = [0] * n, [0] * n
+    for i in range(n):
+        den = d[i] - chi - (o[i - 1] * lower[i - 1] if i else 0)
+        lower[i] = o[i] / den if i < n - 1 else 0
+        y[i] = (x[i] - (o[i - 1] * y[i - 1] if i else 0)) / den
+    for i in range(n - 2, -1, -1):
+        y[i] -= lower[i] * y[i + 1]
+    norm = mpmath.sqrt(mpmath.fsum(v * v for v in y))
+    x = [v / norm for v in y]
+    tx = [d[i] * x[i] for i in range(n)]
+    for i in range(n - 1):
+        tx[i] += o[i] * x[i + 1]
+        tx[i + 1] += o[i] * x[i]
+    return mpmath.fsum(a * b for a, b in zip(x, tx)), x
+
+
+def mp_prolate_reference(xi, count, degrees=128, dps=50):
+    """The first ``count`` eigenvalues of the sinc operator from the same
+    Legendre blocks at ``dps`` digits: two Rayleigh-quotient steps from
+    float64 eigenpairs, then ``lambda_n = c mu_n^2/(2*pi)`` from the refined
+    vector."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.zeros(count)
+    with mpmath.workdps(dps):
+        c = mpmath.pi * mpmath.mpf(xi) / 2
+        at_zero = [mpmath.mpf(1)]  # P_{2i}(0)
+        for i in range(1, degrees // 2):
+            at_zero.append(-at_zero[-1] * (2 * i - 1) / (2 * i))
+        for parity in (0, 1):
+            ks = [mpmath.mpf(k) for k in range(parity, degrees, 2)]
+            d = [k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1)) for k in ks]
+            o = [
+                c * c * (k + 1) * (k + 2) / ((2 * k + 3) * mpmath.sqrt((2 * k + 1) * (2 * k + 5)))
+                for k in ks[:-1]
+            ]
+            dense = np.diag(np.array(d, dtype=float)) + np.diag(np.array(o, dtype=float), -1)
+            start_chi, start_x = np.linalg.eigh(dense)
+            weight = [mpmath.sqrt(k + 0.5) * p * (k if parity else 1) for k, p in zip(ks, at_zero)]
+            scale = mpmath.sqrt(2) if parity == 0 else c * mpmath.sqrt(mpmath.mpf(2) / 3)
+            for index in range(parity, count, 2):
+                chi = mpmath.mpf(start_chi[index // 2])
+                x = [mpmath.mpf(v) for v in start_x[:, index // 2]]
+                for _ in range(2):
+                    chi, x = mp_rayleigh_step(d, o, chi, x)
+                mu = scale * x[0] / mpmath.fsum(w * v for w, v in zip(weight, x))
+                out[index] = float(c * mu * mu / (2 * mpmath.pi))
+    return out
+
+
+class TestProlateEigenvalues:
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 1.7, 3.0, 8.0, 16.0])
+    def test_matches_mpmath_reference(self, xi):
+        vals = prolate_eigenvalues(xi, 1024)
+        ref = mp_prolate_reference(xi, 60)
+        big = ref >= 1e-12
+        assert np.max(np.abs(vals[:60][big] - ref[big]) / ref[big]) <= 1e-12
+        assert np.max(np.abs(vals[:60] - ref)) <= 1e-14
+        # small values keep their relative accuracy too, down to where the
+        # reference's first coefficient (about sqrt(value)) nears its 1e-50
+        # absolute error
+        small = ref >= 1e-60
+        assert np.max(np.abs(vals[:60][small] - ref[small]) / ref[small]) <= 1e-12
+        # past the reference every value is below its absolute tolerance
+        assert np.max(vals[60:]) <= 1e-14
+        assert np.all(vals >= 0.0)
+        assert np.all(np.diff(vals) <= 0.0)
+
+    @pytest.mark.parametrize("xi", [0.5, 1.7, 3.0, 8.0, 16.0])
+    def test_matches_nystrom_oracle(self, xi):
+        assert np.max(np.abs(prolate_eigenvalues(xi, 1024) - nystrom_eigenvalues(xi, 1024))) <= 1e-14
+
+    @pytest.mark.parametrize("xi", [0.0, -0.0])
+    def test_zero_concentration(self, xi):
+        vals = prolate_eigenvalues(xi, 1024)
+        assert vals.shape == (1024,)
+        assert np.all(vals == 0.0)
+        assert not np.any(np.signbit(vals))  # no -0 in the output
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 64, 65, 1023, 1024])
+    def test_counts(self, count):
+        full = prolate_eigenvalues(1.7, 1024)
+        vals = prolate_eigenvalues(1.7, count)
+        assert vals.shape == (count,)
+        assert np.max(np.abs(vals - full[:count])) <= 1e-15
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_count_domain(self, count):
+        with pytest.raises(DomainError, match="must be an integer >= 1"):
+            prolate_eigenvalues(1.0, count)
+
+    def test_truncation_cap(self, monkeypatch):
+        # 128 degrees resolve no eigenvalue at xi = 300
+        import phasebound.asymptotic as asym
+
+        monkeypatch.setattr(asym, "_MAX_DEGREES", 128)
+        with pytest.raises(ConvergenceFailureError, match="still moving by .* at 128 Legendre degrees"):
+            prolate_eigenvalues(300.0, 1)
+
+    def test_saturated_value_clamped(self):
+        # at xi = 16 the top value rounds to 1 + 2 ulps before the clamp
+        vals = prolate_eigenvalues(16.0, 64)
+        assert vals[0] == 1.0
+        assert np.all(vals <= 1.0)
+
+    def test_blocks_per_call(self, monkeypatch):
+        # at xi <= 3 the first 1024 values need two truncations, 64 and 128
+        # degrees, so no block passed to eigh has more than 64 rows
+        rows = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for xi in (0.5, 1.0, 1.7, 3.0):
+            prolate_eigenvalues(xi, 1024)
+        assert rows and max(rows) <= 64
 
 
 def discrete_and_asymptote(xi, dk):

@@ -298,10 +298,10 @@ class TestCurve:
         # the limit's node-doubling cap is a numerical failure
         import phasebound.asymptotic as asym
 
-        monkeypatch.setattr(asym, "_MAX_NODES", 32)
+        monkeypatch.setattr(asym, "_MAX_DEGREES", 64)
         argv = ["curve", "--dk", "inf", "--xi-stop", "1", "--output", str(tmp_path / "c.csv")]
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("numerical failure: top eigenvalue still moving")
+        assert capsys.readouterr().err.startswith("numerical failure: eigenvalues still moving")
 
 
 class TestDistribution:
@@ -451,6 +451,18 @@ class TestSpectrum:
         library = phasebound.nystrom_eigenvalues(1.7, 1024)
         assert np.max(np.abs(vals - library)) <= 4e-15
         assert np.all(np.diff(vals) <= 0.0)
+
+    @pytest.mark.parametrize("xi", ["0.5", "1.7", "3", "8"])
+    def test_continuum_nonnegative(self, tmp_path, capsys, xi):
+        # each value is a square; Nystrom's eigvalsh printed noise down to -4.8e-16
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--xi", xi, "--nodes", "1024", "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        vals = np.array([float(c[1]) for c in rows])
+        assert vals.size == 1024
+        assert vals.min() >= 0.0
+        assert vals.sum() == pytest.approx(float(xi), abs=1e-10)
 
     def test_discrete_matches_dense_eigvalsh(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

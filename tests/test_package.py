@@ -18,7 +18,12 @@ def test_exports_resolve():
     assert removed.isdisjoint(names)
     assert not any(hasattr(phasebound, name) for name in removed)
     assert "nystrom_eigenvalues" in names
-    assert phasebound.nystrom_eigenvalues is phasebound.asymptotic.nystrom_eigenvalues
+    # the Nystrom rule is the continuum oracle; the limit module solves the
+    # Legendre blocks and takes nothing from the dense parity split
+    assert phasebound.nystrom_eigenvalues is phasebound.oracles.nystrom_eigenvalues
+    assert phasebound.prolate_eigenvalues is phasebound.asymptotic.prolate_eigenvalues
+    for name in ("nystrom_eigenvalues", "gauss_legendre", "_sinc_kernel", "parity_blocks"):
+        assert not hasattr(phasebound.asymptotic, name)
     for name in ("OracleConfig", "NoConvergenceError"):
         assert name not in names
         assert not hasattr(phasebound, name)

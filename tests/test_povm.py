@@ -22,6 +22,7 @@ from phasebound import (
     phase_shift,
     quadrature_probability,
     reduce,
+    uniform_phase_density,
 )
 from conftest import TWO_PI, random_states
 
@@ -170,6 +171,36 @@ class TestPhaseDensity:
         raw = FockState([1.0, 2.0j, -0.5])  # deliberately unnormalized
         total = circle_integral(lambda phi: phase_density(raw, None, phi))
         assert total == pytest.approx(raw.norm_squared, abs=1e-10)
+
+
+class TestUniformPhaseDensity:
+    @pytest.mark.parametrize(
+        "size,points", [(1, 1), (1, 16), (2, 3), (501, 16384), (501, 100), (2000, 4096), (2000, 7)]
+    )
+    def test_matches_explicit_sum(self, size, points):
+        # points < size folds the amplitudes modulo points; the explicit sum's
+        # own phases exp(-i n phi) lose digits at n ~ 2000, as in TestPhaseDensity
+        tol = 5e-13 if size == 2000 else 1e-13
+        rng = np.random.default_rng(size + points)
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        state = normalize(FockState(amps, offset=size + 5))
+        phi, dens = uniform_phase_density(state, points)
+        ref = explicit_density(state, phi)
+        assert np.max(np.abs(dens - ref)) <= tol * ref.max()
+
+    def test_grid_matches_listed_points(self):
+        phi, _ = uniform_phase_density(HALF_PLUS, 16384)
+        listed = [-np.pi + TWO_PI * i / 16384 for i in range(16384)]
+        assert phi.tolist() == listed
+
+    def test_matches_horner(self):
+        rng = np.random.default_rng(15)
+        state = normalize(FockState(rng.standard_normal(501) + 1j * rng.standard_normal(501)))
+        phi, dens = uniform_phase_density(state, 16384)
+        horner = phase_density(state, None, phi)
+        assert np.max(np.abs(dens - horner)) <= 1e-13 * horner.max()
+        assert dens.min() >= 0.0
+        assert np.mean(dens) * TWO_PI == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIntervalProbability:
