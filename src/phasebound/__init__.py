@@ -30,6 +30,7 @@ from .kernel import (
     build_kernel,
     cauchy_bound,
     eigensystem,
+    kernel_eigenvalues,
     leading_eigenpair,
     least_upper_bound,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "conditional_probability",
     "eigensystem",
     "interval_probability",
+    "kernel_eigenvalues",
     "leading_eigenpair",
     "least_upper_bound",
     "normalize",

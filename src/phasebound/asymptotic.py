@@ -34,13 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
-from .kernel import check_domain
+from .kernel import _TAIL_TOL, check_domain
 from .states import TWO_PI
 
 _REFINE_TOL = 1e-10
-# an eigenvalue the doubling did not compare, or an index past the
-# truncation (printed as 0), must lie below this
-_TAIL_TOL = 1e-30
 _START_DEGREES = 64
 _MAX_DEGREES = 4096
 

@@ -17,13 +17,15 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .asymptotic import (
     asymptotic_least_upper_bound,
     concentration_parameter,
     prolate_eigenvalues,
 )
 from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
-from .kernel import cauchy_bound, eigensystem, least_upper_bound
+from .kernel import cauchy_bound, kernel_eigenvalues, least_upper_bound
 from .oracles import power_iteration
 from .povm import conditional_probability, interval_probability, uniform_phase_density
 from .states import TWO_PI, FockState, NumberWindow, PhaseWindow, normalize
@@ -55,6 +57,23 @@ def _fmt(value: float) -> str:
 def _fmt_join(values: Sequence[float]) -> str:
     """``",".join(_fmt(v) for v in values)``, formatted in one ``%`` call."""
     return ",".join([_FLOAT] * len(values)) % tuple(values)
+
+
+def _fmt_amplitudes(values: np.ndarray) -> str:
+    """``_fmt_join(values.tolist())`` for a line of the optimal state.
+
+    An all-``+0.0`` line (the imaginary part) is joined ``"0"``s, and a line
+    that is bitwise mirror-symmetric (the real part of the top vector) is
+    formatted from its first half with the strings mirrored.
+    """
+    n = values.size
+    if not values.any() and not np.signbit(values).any():
+        return ",".join(["0"] * n)
+    bits = values.view(np.int64)
+    if np.array_equal(bits, bits[::-1]):
+        head = _fmt_join(values[: n - n // 2].tolist()).split(",")
+        return ",".join(head + head[: n // 2][::-1])
+    return _fmt_join(values.tolist())
 
 
 def _cell(value) -> str:
@@ -206,8 +225,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     _print_kv("xi", _fmt(concentration_parameter(dalpha, args.dk)))
     _print_kv("cauchy_bound", _fmt(cauchy_bound(dalpha, args.dk)))
     _print_kv("optimal_state_offset", state.offset)
-    _print_kv("optimal_state_re", _fmt_join(state.amplitudes.real.tolist()))
-    _print_kv("optimal_state_im", _fmt_join(state.amplitudes.imag.tolist()))
+    _print_kv("optimal_state_re", _fmt_amplitudes(state.amplitudes.real))
+    _print_kv("optimal_state_im", _fmt_amplitudes(state.amplitudes.imag))
     if not args.verify:
         return EXIT_OK
 
@@ -326,7 +345,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if args.dalpha is None or args.dk is None:
             raise DomainError("the discrete form needs both --dalpha and --dk")
         dalpha = math.radians(args.dalpha) if args.degrees else args.dalpha
-        vals = eigensystem(dalpha, args.dk).eigenvalues
+        vals = kernel_eigenvalues(dalpha, args.dk)
         header, tail = "index,eigenvalue", ""
     else:
         if args.xi is None:

@@ -7,35 +7,50 @@ probability of a successful phase measurement at precision ``dalpha`` after a
 number measurement at precision ``dk``; the top eigenvector is the state that
 attains it.
 
-Two solvers answer two questions.  ``eigensystem`` is the dense full-spectrum
-solve, O(dk^3).  The kernel is centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``),
-so it maps even and odd sequences to themselves, and ``eigensystem`` solves
-its even and odd half-blocks (``parity_blocks``; ``parity_vectors`` maps
-their eigenvectors back, and the Nystrom oracle in ``oracles`` splits its
-matrix the same way), two dense solves of half the size.  ``leading_eigenpair``
-returns the top pair in O(dk log dk) without forming the kernel: the kernel
-is the discrete prolate matrix with ``M = dk+1``, ``W = dalpha/(4*pi)``, and
-it commutes with Slepian's tridiagonal matrix (Slepian 1978, "Prolate
-spheroidal wave functions, Fourier analysis, and uncertainty V: the discrete
-case", BSTJ 57), whose eigenvalues are well separated where the kernel's
-cluster near 1.  In the basis of the discrete Chebyshev (Gram) polynomials
-that matrix splits into even and odd blocks that are tridiagonal in the
-degree, and the top vector needs only a few dozen degrees whatever ``dk``
-(``_gram_block``).  ``_top_eigenvector`` isolates the top eigenvalue of a
-tridiagonal block by Sturm bisection and finishes the pair by
+Two questions, the full spectrum and the top pair, have their own solvers.
+``eigensystem`` is the dense full-spectrum solve with vectors, O(dk^3).  The
+kernel is centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``), so it maps even
+and odd sequences to themselves, and ``eigensystem`` solves its even and odd
+half-blocks (``parity_blocks``; ``parity_vectors`` maps their eigenvectors
+back, and the Nystrom oracle in ``oracles`` splits its matrix the same way),
+two dense solves of half the size.
+
+The spectrum's values come from ``kernel_eigenvalues`` without forming the
+kernel.  They fall off super-exponentially past index ``xi``, and every
+vector orthogonal to the polynomials of degree below ``K`` has a Rayleigh
+quotient below a bound ``B_K`` that does not depend on ``dk``
+(``_tail_bound``).  So the Ritz values of the kernel on the first ``K``
+discrete Chebyshev (Gram) polynomials give the first ``K`` eigenvalues, and
+every later one, printed as 0, is certified within ``B_K <= 1e-30`` of its
+value; ``K`` is a few dozen (32 up to xi 3).  Ritz values below about eps
+are still rounding noise.  The polynomials' recurrence stays orthonormal
+only up to about ``2 sqrt(M)`` degrees, ``M = dk+1``; past that crossover
+(xi 3 below ``dk = 255``) ``eigensystem`` answers.
+
+``leading_eigenpair`` returns the top pair in O(dk log dk), also without
+forming the kernel: the kernel is the discrete prolate matrix with
+``M = dk+1``, ``W = dalpha/(4*pi)``, and it commutes with Slepian's
+tridiagonal matrix (Slepian 1978, "Prolate spheroidal wave functions,
+Fourier analysis, and uncertainty V: the discrete case", BSTJ 57), whose
+eigenvalues are well separated where the kernel's cluster near 1.  In the
+Gram basis that matrix splits into even and odd blocks that are tridiagonal
+in the degree, and the top vector needs only a few dozen degrees whatever
+``dk`` (``_gram_block``).  ``_top_eigenvector`` isolates the top eigenvalue
+of a tridiagonal block by Sturm bisection and finishes the pair by
 Rayleigh-quotient inverse iteration; the vector is then summed on the grid
 by the polynomials' recurrence, one numpy pass of length ``dk/2`` per
-degree.  Where that truncation exceeds ``M/4`` degrees, ``M = dk+1`` (every
-``dk < 127``, and large ``xi`` up to ``dk`` of a few thousand), the
-recurrence loses digits and the same solver runs on Slepian's even block of
-``M/2`` rows instead.
+degree.  Where that truncation exceeds ``M/4`` degrees (every ``dk < 127``,
+and large ``xi`` up to ``dk`` of a few thousand), the recurrence loses
+digits and the same solver runs on Slepian's even block of ``M/2`` rows
+instead.
 
 Where only products with the kernel are needed, ``toeplitz_operator`` takes
 them through an FFT of its circulant embedding, in O(dk log dk) time and
-O(dk) memory, and ``kernel_operator`` builds it once per ``(dalpha, size)``
-for the Rayleigh quotient in ``leading_eigenpair``, the power-iteration
-oracle and the window probability ``povm.interval_probability``.  The dense
-``build_kernel`` serves the full spectrum and the random-state oracle.
+O(dk) memory per vector, and ``kernel_operator`` builds it once per
+``(dalpha, size)`` for ``kernel_eigenvalues``, the Rayleigh quotient in
+``leading_eigenpair``, the power-iteration oracle and the window
+probability ``povm.interval_probability``.  The dense ``build_kernel``
+serves ``eigensystem`` and the random-state oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +64,11 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, DomainError
 from .states import TWO_PI, FockState
+
+# an eigenvalue left out of a truncated solve, printed as 0, must lie below
+# this: past ``K`` Gram degrees here, past the Legendre truncation in
+# ``asymptotic``
+_TAIL_TOL = 1e-30
 
 
 def check_domain(delta_alpha: float, delta_k: int) -> None:
@@ -113,8 +133,9 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     ``G`` is the leading block of a circulant of length ``L >= 2n-1`` (the
     5-smooth ``_fft_length``), whose FFT is computed once here; each product
-    then costs one real FFT pair of length ``L``.  Complex vectors are
-    multiplied as their real and imaginary parts.
+    then costs one real FFT pair of length ``L``.  A ``(..., n)`` stack is
+    multiplied row by row in one call.  Complex vectors are multiplied as
+    their real and imaginary parts.
     """
     n = col.size
     length = _fft_length(2 * n - 1)
@@ -127,7 +148,7 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     def matvec(v: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(v):
             return matvec(v.real) + 1j * matvec(v.imag)
-        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[:n]
+        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[..., :n]
 
     return matvec
 
@@ -137,7 +158,7 @@ def kernel_operator(delta_alpha: float, size: int) -> Callable[[np.ndarray], np.
     """``toeplitz_operator(kernel_column(delta_alpha, size))``, built once per
     ``(delta_alpha, size)`` and shared: one ``bound --verify`` multiplies by
     the same kernel in ``leading_eigenpair``, the power-iteration oracle and
-    ``povm.interval_probability``."""
+    ``povm.interval_probability``; ``kernel_eigenvalues`` uses it too."""
     return toeplitz_operator(kernel_column(float(delta_alpha), size))
 
 
@@ -155,7 +176,6 @@ class SpectrumDiagnostics:
     max_residual: float
     orthogonality_defect: float
     top_gap: float  # lambda_0 - lambda_1 (inf for 1x1)
-    min_gap: float  # smallest consecutive gap (inf for 1x1)
 
 
 @dataclass(frozen=True)
@@ -255,11 +275,8 @@ def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
     vals = vals[order]
     vecs = fix_signs(parity_vectors(*(u for _, u in solved))[:, order])
 
-    if n > 1:
-        gaps = -np.diff(vals)
-        diag = SpectrumDiagnostics(residual, orth, float(gaps[0]), float(gaps.min()))
-    else:
-        diag = SpectrumDiagnostics(residual, orth, np.inf, np.inf)
+    top_gap = float(vals[0] - vals[1]) if n > 1 else np.inf
+    diag = SpectrumDiagnostics(residual, orth, top_gap)
 
     if residual > 1e-12 * n:
         raise ConvergenceFailureError(
@@ -269,6 +286,98 @@ def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SpectrumResult(vals, vecs, diag)
+
+
+def _tail_bound(delta_alpha: float, size: int, degrees: int) -> float:
+    """``B_K`` with ``K = degrees``: every eigenvalue of index ``>= K`` lies
+    in ``[0, B_K]``.
+
+    For a unit ``v`` orthogonal to the polynomials of degree below ``K`` on
+    ``x_n = n - (M-1)/2``, ``V(t) = sum_n v_n e^{i x_n t}`` has a zero of
+    order ``K`` at 0, so ``|V(t)| <= |t|^K |x^K|_2 / K!`` and
+    ``v.Gv = (1/2pi) int_{-a}^{a} |V|^2 <= a^{2K+1} |x^K|^2 / (pi (2K+1) K!^2)``
+    with ``a = dalpha/2``; Courant-Fischer gives the rest.  ``x^{2K}`` is
+    convex, so ``|x^K|^2 <= int_{-M/2}^{M/2} x^{2K} = 2 (M/2)^{2K+1}/(2K+1)``,
+    and ``B_K = 2 c^{2K+1} / (pi (2K+1)^2 K!^2)`` with ``c = a M/2 =
+    pi xi/2``: the same whatever ``dk``.  Taken in logs.
+    """
+    c = 0.25 * delta_alpha * size
+    k = float(degrees)
+    log_bound = (
+        (2 * k + 1) * math.log(c)
+        - 2 * math.log(2 * k + 1)
+        - 2 * math.lgamma(k + 1)
+        + math.log(2 / math.pi)
+    )
+    return math.exp(log_bound)
+
+
+def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
+    """All ``dk+1`` eigenvalues of the kernel, descending.
+
+    The kernel is compressed onto the orthonormal Gram polynomials ``p_k``
+    of degree below ``K`` (``_gram_block``'s recurrence): ``H = P G P^T``
+    for the ``(K, M)`` rows ``P``, with ``G P^T`` taken by one stacked FFT
+    product (``kernel_operator``).  Even and odd degrees do not couple, so
+    ``H`` splits into two ``K/2`` blocks, solved by one stacked ``eigh``;
+    their Ritz values are the first ``K`` eigenvalues.  ``K`` is the
+    smallest multiple of 8 whose ``_tail_bound`` is at most ``_TAIL_TOL``,
+    so every later index, printed as 0, is certified within 1e-30 of its
+    value (16 degrees at xi 0.5, 32 at xi 3, 96 at xi 16, whatever ``dk``).
+    The list is sorted whole: Ritz values that are noise below about eps
+    may come out slightly negative.
+
+    The recurrence keeps the rows orthonormal to about 1e-14 only up to
+    about ``2 sqrt(M)`` degrees, ``M = dk+1`` (past that, polynomials on an
+    equispaced grid grow exponentially towards its ends, Coppersmith and
+    Rivlin 1992; 1e-12 is lost near ``4 sqrt(M)``).  Where ``K^2 > 4M`` the
+    dense ``eigensystem`` answers instead: xi 0.5 from ``dk = 63``, xi 3
+    from ``dk = 255``, xi 16 from ``dk = 2303``.  ``dk = 0`` and ``dalpha``
+    0 or ``2*pi`` give the exact values of the dense solve.
+
+    Raises ConvergenceFailureError when a Ritz pair's residual exceeds
+    ``1e-12 * (dk+1)`` or the rows' orthogonality defect exceeds 1e-12.
+    """
+    check_domain(delta_alpha, delta_k)
+    size = delta_k + 1
+    if size == 1 or delta_alpha in (0.0, TWO_PI):
+        return np.full(size, float(delta_alpha) / TWO_PI)
+    degrees = 8
+    while degrees**2 <= 4 * size and _tail_bound(delta_alpha, size, degrees) > _TAIL_TOL:
+        degrees += 8
+    if degrees**2 > 4 * size:
+        return eigensystem(delta_alpha, delta_k).eigenvalues
+
+    b = _gram_block(delta_alpha, size, degrees)[2]
+    x = np.arange(size) - 0.5 * (size - 1)
+    basis = np.empty((degrees, size))
+    basis[0] = 1.0 / math.sqrt(size)
+    basis[1] = x * basis[0] / b[1]
+    for k in range(2, degrees):
+        basis[k] = (x * basis[k - 1] - b[k - 1] * basis[k - 2]) / b[k]
+    orth = float(np.abs(basis @ basis.T - np.eye(degrees)).max())
+    if orth > 1e-12:
+        raise ConvergenceFailureError(
+            f"Gram basis orthogonality defect {orth:.3e} exceeds 1e-12"
+        )
+
+    image = kernel_operator(delta_alpha, size)(basis)
+    # row p of the stack holds the degrees of parity p
+    basis = basis.reshape(-1, 2, size).swapaxes(0, 1)
+    image = image.reshape(-1, 2, size).swapaxes(0, 1)
+    blocks = basis @ image.swapaxes(1, 2)
+    theta, coeffs = np.linalg.eigh(0.5 * (blocks + blocks.swapaxes(1, 2)))
+    coeffs = coeffs.swapaxes(1, 2)
+    residual = np.linalg.norm(
+        coeffs @ image - theta[..., None] * (coeffs @ basis), axis=2
+    ).max()
+    if residual > 1e-12 * size:
+        raise ConvergenceFailureError(
+            f"Ritz residual {residual:.3e} exceeds {1e-12 * size:.3e}"
+        )
+    vals = np.zeros(size)
+    vals[:degrees] = theta.ravel()
+    return np.sort(vals)[::-1]
 
 
 def _slepian_block(delta_alpha: float, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import phasebound
-from phasebound.cli import _fmt, _fmt_join, build_parser, main, parse_dk_list
+from phasebound.cli import _fmt, _fmt_amplitudes, _fmt_join, build_parser, main, parse_dk_list
 from conftest import TWO_PI
 
 PI_TEXT = "3.141592653589793"
@@ -473,6 +473,23 @@ class TestSpectrum:
         dense = np.sort(np.linalg.eigvalsh(phasebound.build_kernel(2.0, 65).entries))[::-1]
         assert np.max(np.abs(vals - dense)) <= 1e-14
 
+    @pytest.mark.parametrize("xi", [0.5, 3.0])
+    def test_discrete_certified_tail(self, tmp_path, capsys, xi):
+        # the Ritz values of the Gram basis, then zeros past K
+        dk = 1000
+        dalpha = TWO_PI * xi / (dk + 1)
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--dalpha", repr(dalpha), "--dk", str(dk), "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        assert [int(c[0]) for c in rows] == list(range(dk + 1))
+        vals = np.array([float(c[1]) for c in rows])
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.count_nonzero(vals) <= 32
+        assert sum(c[1] == "0" for c in rows) >= dk + 1 - 32
+        assert vals.sum() == pytest.approx(xi, abs=1e-10)
+        assert abs(vals[0] - phasebound.leading_eigenpair(dalpha, dk)[0]) <= 1e-15
+
     def test_both_forms_rejected(self, tmp_path, capsys):
         argv = [
             "spectrum", "--dalpha", "1", "--dk", "1", "--xi", "1",
@@ -511,7 +528,7 @@ class TestSpectrum:
         def too_large(dalpha, dk):
             raise MemoryError("Unable to allocate 67.1 TiB")
 
-        monkeypatch.setattr(cli, "eigensystem", too_large)
+        monkeypatch.setattr(cli, "kernel_eigenvalues", too_large)
         out = tmp_path / "s.csv"
         argv = ["spectrum", "--dalpha", "0.001", "--dk", "3000000", "--output", str(out)]
         assert main(argv) == 2
@@ -548,6 +565,25 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import phasebound.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("dk", [0, 1, 2, 40, 41, 1000, 1001])
+def test_state_format_matches_joined(dk):
+    # the optimal state is printed from its half where it is mirror-symmetric
+    for dalpha in (0.0, TWO_PI * 0.7 / (dk + 1), TWO_PI * 3.0 / (dk + 1), TWO_PI):
+        state = phasebound.least_upper_bound(min(dalpha, TWO_PI), dk)[1].amplitudes
+        for part in (state.real, state.imag):
+            assert _fmt_amplitudes(part) == _fmt_join(part.tolist())
+    rng = np.random.default_rng(dk)
+    mirrored = rng.standard_normal(dk + 1)
+    mirrored[dk // 2 + 1 :] = mirrored[: (dk + 1) // 2][::-1]
+    lopsided = mirrored.copy()
+    lopsided[0] = np.nextafter(lopsided[0], math.inf)  # one ulp off the mirror image
+    signed = np.zeros(dk + 1)
+    signed[-1] = -0.0
+    drawn = rng.standard_normal(dk + 1)
+    for values in (mirrored, lopsided, drawn, signed, -signed, np.full(dk + 1, math.nan)):
+        assert _fmt_amplitudes(values) == _fmt_join(values.tolist())
 
 
 def test_joined_format_matches_fmt():

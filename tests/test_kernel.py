@@ -15,6 +15,7 @@ from phasebound import (
     cauchy_bound,
     conditional_probability,
     eigensystem,
+    kernel_eigenvalues,
     leading_eigenpair,
     least_upper_bound,
     power_iteration,
@@ -25,6 +26,7 @@ from phasebound.kernel import (
     _fft_length,
     _gram_block,
     _slepian_block,
+    _tail_bound,
     _top_eigenvector,
     kernel_column,
     toeplitz_from_column,
@@ -115,6 +117,18 @@ class TestToeplitzOperator:
                 assert image.dtype == x.dtype
                 assert np.max(np.abs(image - dense @ x)) <= 1e-14
 
+    @pytest.mark.parametrize("n", [1, 2, 1001, 1117])
+    def test_stacked_rows(self, n):
+        # a (K, M) stack is multiplied row by row, real or complex
+        rng = np.random.default_rng(n + 7)
+        apply = toeplitz_operator(kernel_column(1.7, n))
+        real = rng.standard_normal((5, n))
+        for stack in (real, real + 1j * rng.standard_normal((5, n))):
+            image = apply(stack)
+            assert image.shape == stack.shape and image.dtype == stack.dtype
+            rows = np.array([apply(row) for row in stack])
+            assert np.max(np.abs(image - rows)) <= 1e-15
+
     def test_fft_length_is_the_next_smooth_number(self):
         smooth = sorted(
             2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)
@@ -174,6 +188,105 @@ class TestEigensystem:
                 v = vecs[:, s]
                 assert np.array_equal(v, v[::-1]) or np.array_equal(v, -v[::-1])
                 assert v[np.argmax(np.abs(v))] > 0.0
+
+
+class TestKernelEigenvalues:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("dk", [40, 127, 300])
+    def test_tail_bound_holds(self, dk):
+        # every dense eigenvalue past index K lies below B_K, checked where
+        # B_K is large enough for the check to bite
+        checked = 0
+        for xi in (0.05, 0.2, 0.5, 1.0, 2.0):
+            dalpha = TWO_PI * xi / (dk + 1)
+            vals = np.sort(np.linalg.eigvalsh(build_kernel(dalpha, dk).entries))[::-1]
+            for degrees in range(4, 13):
+                bound = _tail_bound(dalpha, dk + 1, degrees)
+                if 1e-12 <= bound < 1.0:
+                    assert vals[degrees] <= bound + (dk + 1) * self.EPS, (xi, degrees)
+                    checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("xi", [0.1, 0.5, 3.0, 16.0, 64.0])
+    @pytest.mark.parametrize("dk", [126, 127, 255, 256, 1000, 1001, 3001])
+    def test_matches_dense(self, dk, xi):
+        dalpha = TWO_PI * xi / (dk + 1)
+        vals = kernel_eigenvalues(dalpha, dk)
+        dense = eigensystem(dalpha, dk).eigenvalues
+        assert vals.shape == dense.shape
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.max(np.abs(vals - dense)) <= (dk + 1) * self.EPS
+
+    @pytest.mark.parametrize("dk", [7, 62, 63, 254, 255, 1000, 2302, 2303])
+    def test_route(self, dk, monkeypatch):
+        # the Gram route runs exactly where K^2 <= 4M, and its tail is zeros
+        dense = []
+
+        def counted(*args):
+            dense.append(args)
+            return eigensystem(*args)
+
+        monkeypatch.setattr(kernel_module, "eigensystem", counted)
+        for xi, degrees in ((0.5, 16), (3.0, 32), (16.0, 96)):
+            if xi > dk + 1:
+                continue
+            dalpha = TWO_PI * xi / (dk + 1)
+            assert _tail_bound(dalpha, dk + 1, degrees) <= 1e-30 < _tail_bound(dalpha, dk + 1, degrees - 8)
+            gram = degrees**2 <= 4 * (dk + 1)
+            calls = len(dense)
+            vals = kernel_eigenvalues(dalpha, dk)
+            assert len(dense) == calls + (not gram)
+            if gram:
+                assert np.count_nonzero(vals) <= degrees
+                assert np.all(vals[degrees : dk + 1 - degrees] == 0.0)
+
+    @pytest.mark.parametrize("dk", [0, 1, 5, 40, 1000])
+    def test_exact_cases(self, dk):
+        for dalpha in (0.0, 1.3, TWO_PI):
+            if dalpha == 1.3 and dk:
+                continue
+            vals = kernel_eigenvalues(dalpha, dk)
+            dense = eigensystem(dalpha, dk).eigenvalues
+            assert vals.tobytes() == dense.tobytes()
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            kernel_eigenvalues(-0.1, 10)
+        with pytest.raises(DomainError):
+            kernel_eigenvalues(1.0, True)
+
+    def test_north_star_dk(self):
+        # no dense route reaches this size: the kernel alone would take 80 GB
+        dk = 100000
+        dalpha = TWO_PI * 2.0 / (dk + 1)
+        vals = kernel_eigenvalues(dalpha, dk)
+        assert vals.size == dk + 1 and np.all(np.diff(vals) <= 0.0)
+        assert np.count_nonzero(vals) <= 32
+        assert abs(vals.sum() - 2.0) <= 1e-10
+        assert abs(vals[0] - leading_eigenpair(dalpha, dk)[0]) <= 1e-14
+
+    def test_orthogonality_gate(self, monkeypatch):
+        gram = kernel_module._gram_block
+
+        def skewed(*args):
+            diag, off, b = gram(*args)
+            return diag, off, b * (1.0 + 1e-9)
+
+        monkeypatch.setattr(kernel_module, "_gram_block", skewed)
+        with pytest.raises(ConvergenceFailureError, match="orthogonality defect"):
+            kernel_eigenvalues(TWO_PI * 2.0 / 1001, 1000)
+
+    def test_residual_gate(self, monkeypatch):
+        operator = kernel_module.kernel_operator
+
+        def perturbed(dalpha, size):
+            apply = operator(dalpha, size)
+            return lambda v: apply(v) * (1.0 + 1e-6 * np.linspace(0.0, 1.0, size))
+
+        monkeypatch.setattr(kernel_module, "kernel_operator", perturbed)
+        with pytest.raises(ConvergenceFailureError, match="Ritz residual"):
+            kernel_eigenvalues(TWO_PI * 2.0 / 1001, 1000)
 
 
 class TestLeastUpperBound:
