@@ -25,11 +25,8 @@ from .errors import (
 )
 from .kernel import (
     ConcentrationKernel,
-    SpectrumDiagnostics,
-    SpectrumResult,
     build_kernel,
     cauchy_bound,
-    eigensystem,
     kernel_eigenvalues,
     leading_eigenpair,
     least_upper_bound,
@@ -75,15 +72,12 @@ __all__ = [
     "PhaseMatrix",
     "PhaseWindow",
     "PowerIterationResult",
-    "SpectrumDiagnostics",
-    "SpectrumResult",
     "ZeroStateError",
     "asymptotic_least_upper_bound",
     "build_kernel",
     "cauchy_bound",
     "concentration_parameter",
     "conditional_probability",
-    "eigensystem",
     "interval_probability",
     "kernel_eigenvalues",
     "leading_eigenpair",

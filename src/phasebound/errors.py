@@ -32,8 +32,5 @@ class InternalConsistencyError(PhaseBoundError, RuntimeError):
 class ConvergenceFailureError(PhaseBoundError, RuntimeError):
     """An iteration missed its target: an eigensolver its residual, Newton's
     method its Gauss-Legendre nodes, or degree doubling its refinement
-    tolerance before the degree cap."""
-
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    tolerance before the degree cap.  The message names the missed figure
+    and its target."""

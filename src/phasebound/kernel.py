@@ -7,14 +7,7 @@ probability of a successful phase measurement at precision ``dalpha`` after a
 number measurement at precision ``dk``; the top eigenvector is the state that
 attains it.
 
-Two questions, the full spectrum and the top pair, have their own solvers.
-``eigensystem`` is the dense full-spectrum solve with vectors, O(dk^3).  The
-kernel is centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``), so it maps even
-and odd sequences to themselves, and ``eigensystem`` solves its even and odd
-half-blocks (``parity_blocks``; ``parity_vectors`` maps their eigenvectors
-back, and the Nystrom oracle in ``oracles`` splits its matrix the same way),
-two dense solves of half the size.
-
+Two questions, the full spectrum and the top pair, have one solver each.
 The spectrum's values come from ``kernel_eigenvalues`` without forming the
 kernel.  They fall off super-exponentially past index ``xi``, and every
 vector orthogonal to the polynomials of degree below ``K`` has a Rayleigh
@@ -25,7 +18,11 @@ every later one, printed as 0, is certified within ``B_K <= 1e-30`` of its
 value; ``K`` is a few dozen (32 up to xi 3).  Ritz values below about eps
 are still rounding noise.  The polynomials' recurrence stays orthonormal
 only up to about ``2 sqrt(M)`` degrees, ``M = dk+1``; past that crossover
-(xi 3 below ``dk = 255``) ``eigensystem`` answers.
+(xi 3 below ``dk = 255``) the dense kernel is solved instead.  It is
+centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``), so it maps even and odd
+sequences to themselves, and its even and odd half-blocks
+(``parity_blocks``, which the Nystrom oracle in ``oracles`` uses too) give
+the values by two dense solves of half the size.
 
 ``leading_eigenpair`` returns the top pair in O(dk log dk), also without
 forming the kernel: the kernel is the discrete prolate matrix with
@@ -50,7 +47,7 @@ O(dk) memory per vector, and ``kernel_operator`` builds it once per
 ``(dalpha, size)`` for ``kernel_eigenvalues``, the Rayleigh quotient in
 ``leading_eigenpair``, the power-iteration oracle and the window
 probability ``povm.interval_probability``.  The dense ``build_kernel``
-serves ``eigensystem`` and the random-state oracle.
+serves the dense spectrum and the random-state oracle.
 """
 
 from __future__ import annotations
@@ -171,36 +168,12 @@ class ConcentrationKernel:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectrumDiagnostics:
-    max_residual: float
-    orthogonality_defect: float
-    top_gap: float  # lambda_0 - lambda_1 (inf for 1x1)
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Full spectrum, eigenvalues descending, eigenvectors as matching columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    diagnostics: SpectrumDiagnostics
-
-
 def build_kernel(delta_alpha: float, delta_k: int) -> ConcentrationKernel:
     """Assemble the (dk+1) x (dk+1) concentration kernel."""
     check_domain(delta_alpha, delta_k)
     entries = toeplitz_from_column(kernel_column(float(delta_alpha), delta_k + 1))
     entries.flags.writeable = False
     return ConcentrationKernel(float(delta_alpha), int(delta_k), entries)
-
-
-def fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude component is positive."""
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
 
 
 def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +184,8 @@ def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``v[n-1-i] = +-v[i]`` to themselves.  On them it acts as ``A + C`` (even)
     or ``A - C`` (odd), where ``A = a[:m, :m]``, ``C[i, j] = a[i, n-1-j]`` and
     ``m = n // 2``.  An odd ``n`` puts the middle index in the even block, as
-    a last row and column scaled by ``sqrt(2)``.  The eigenvectors of ``a``
-    are those of the blocks mapped back by ``parity_vectors``.
+    a last row and column scaled by ``sqrt(2)``.  The eigenvalues of ``a``
+    are those of the two blocks together.
     """
     n = rows.shape[1]
     m = n // 2
@@ -226,66 +199,27 @@ def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (even + even.T), 0.5 * (odd + odd.T)
 
 
-def parity_vectors(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Columns ``[u; Ju]/sqrt(2)`` for the even block's eigenvectors ``u``,
-    then ``[u; -Ju]/sqrt(2)`` for the odd block's, where ``J`` reverses order.
+def _dense_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
+    """All eigenvalues of the dense kernel (``build_kernel``), descending:
+    ``eigh`` of its even and odd half-blocks (``parity_blocks``).
 
-    For an odd length the even block's last entry is the middle one, kept
-    unscaled.  The map is orthogonal, so it keeps norms, residuals and
-    inner products.
-    """
-    m, ne = odd.shape[0], even.shape[1]
-    n = even.shape[0] + m
-    root_half = math.sqrt(0.5)
-    vecs = np.zeros((n, ne + odd.shape[1]))
-    vecs[:m, :ne] = root_half * even[:m]
-    vecs[n - m :, :ne] = root_half * even[:m][::-1]
-    if n % 2:
-        vecs[m, :ne] = even[m]
-    vecs[:m, ne:] = root_half * odd
-    vecs[n - m :, ne:] = -root_half * odd[::-1]
-    return vecs
-
-
-def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
-    """Full symmetric eigendecomposition of the kernel (``build_kernel``),
-    eigenvalues descending.
-
-    The kernel is solved through its even and odd half-blocks
-    (``parity_blocks``), so every eigenvector is exactly even or odd.  Signs
-    follow ``fix_signs``: for an odd vector, whose mirrored extremes tie
-    exactly, the one in the first half is made positive.  Residuals and the
-    orthogonality defect are taken on the blocks, where they equal those of
-    the full vectors.
-
-    Raises ConvergenceFailureError when the residual target
-    ``1e-12 * (dk+1)`` is missed.
+    Raises ConvergenceFailureError when an eigenpair's residual exceeds
+    ``1e-12 * (dk+1)``.
     """
     entries = build_kernel(delta_alpha, delta_k).entries
-    n = entries.shape[0]
-    blocks = parity_blocks(entries[: n - n // 2])
-    solved = [np.linalg.eigh(block) for block in blocks]
-    residual = orth = 0.0
-    for block, (w, u) in zip(blocks, solved):
+    size = entries.shape[0]
+    vals, residual = [], 0.0
+    for block in parity_blocks(entries[: size - size // 2]):
+        w, u = np.linalg.eigh(block)
         columns = np.linalg.norm(block @ u - u * w, axis=0)
         residual = max(residual, float(columns.max(initial=0.0)))
-        orth = max(orth, float(np.abs(u.T @ u - np.eye(w.size)).max(initial=0.0)))
-    vals = np.concatenate([w for w, _ in solved])
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = fix_signs(parity_vectors(*(u for _, u in solved))[:, order])
-
-    top_gap = float(vals[0] - vals[1]) if n > 1 else np.inf
-    diag = SpectrumDiagnostics(residual, orth, top_gap)
-
-    if residual > 1e-12 * n:
+        vals.append(w)
+    if residual > 1e-12 * size:
         raise ConvergenceFailureError(
-            f"eigensolve residual {residual:.3e} exceeds {1e-12 * n:.3e}",
-            diagnostics=diag,
+            f"eigensolve residual {residual:.3e} exceeds {1e-12 * size:.3e}"
         )
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return SpectrumResult(vals, vecs, diag)
+    vals = np.concatenate(vals)
+    return vals[np.argsort(-vals, kind="stable")]
 
 
 def _tail_bound(delta_alpha: float, size: int, degrees: int) -> float:
@@ -317,8 +251,10 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
 
     The kernel is compressed onto the orthonormal Gram polynomials ``p_k``
     of degree below ``K`` (``_gram_block``'s recurrence): ``H = P G P^T``
-    for the ``(K, M)`` rows ``P``, with ``G P^T`` taken by one stacked FFT
-    product (``kernel_operator``).  Even and odd degrees do not couple, so
+    for the ``(K, M)`` rows ``P``, with ``G P^T`` taken by stacked FFT
+    products (``kernel_operator``) of 8 rows at a time, as is the Ritz
+    residual, so that no temporary exceeds 8 rows (76 MiB in all at
+    ``dk = 1e5``, xi 2).  Even and odd degrees do not couple, so
     ``H`` splits into two ``K/2`` blocks, solved by one stacked ``eigh``;
     their Ritz values are the first ``K`` eigenvalues.  ``K`` is the
     smallest multiple of 8 whose ``_tail_bound`` is at most ``_TAIL_TOL``,
@@ -331,9 +267,9 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
     about ``2 sqrt(M)`` degrees, ``M = dk+1`` (past that, polynomials on an
     equispaced grid grow exponentially towards its ends, Coppersmith and
     Rivlin 1992; 1e-12 is lost near ``4 sqrt(M)``).  Where ``K^2 > 4M`` the
-    dense ``eigensystem`` answers instead: xi 0.5 from ``dk = 63``, xi 3
-    from ``dk = 255``, xi 16 from ``dk = 2303``.  ``dk = 0`` and ``dalpha``
-    0 or ``2*pi`` give the exact values of the dense solve.
+    dense kernel answers instead (``_dense_eigenvalues``): below ``dk = 63``
+    at xi 0.5, ``dk = 255`` at xi 3 and ``dk = 2303`` at xi 16.  ``dk = 0``
+    and ``dalpha`` 0 or ``2*pi`` give the exact values of the dense solve.
 
     Raises ConvergenceFailureError when a Ritz pair's residual exceeds
     ``1e-12 * (dk+1)`` or the rows' orthogonality defect exceeds 1e-12.
@@ -346,7 +282,7 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
     while degrees**2 <= 4 * size and _tail_bound(delta_alpha, size, degrees) > _TAIL_TOL:
         degrees += 8
     if degrees**2 > 4 * size:
-        return eigensystem(delta_alpha, delta_k).eigenvalues
+        return _dense_eigenvalues(delta_alpha, delta_k)
 
     b = _gram_block(delta_alpha, size, degrees)[2]
     x = np.arange(size) - 0.5 * (size - 1)
@@ -361,16 +297,21 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
             f"Gram basis orthogonality defect {orth:.3e} exceeds 1e-12"
         )
 
-    image = kernel_operator(delta_alpha, size)(basis)
+    apply = kernel_operator(delta_alpha, size)
+    image = np.empty_like(basis)
+    for i in range(0, degrees, 8):
+        image[i : i + 8] = apply(basis[i : i + 8])
     # row p of the stack holds the degrees of parity p
     basis = basis.reshape(-1, 2, size).swapaxes(0, 1)
     image = image.reshape(-1, 2, size).swapaxes(0, 1)
     blocks = basis @ image.swapaxes(1, 2)
     theta, coeffs = np.linalg.eigh(0.5 * (blocks + blocks.swapaxes(1, 2)))
     coeffs = coeffs.swapaxes(1, 2)
-    residual = np.linalg.norm(
-        coeffs @ image - theta[..., None] * (coeffs @ basis), axis=2
-    ).max()
+    residual = 0.0
+    for i in range(0, degrees // 2, 4):  # 4 Ritz vectors of each parity
+        rows = coeffs[:, i : i + 4]
+        ritz = rows @ image - theta[:, i : i + 4, None] * (rows @ basis)
+        residual = max(residual, float(np.linalg.norm(ritz, axis=2).max()))
     if residual > 1e-12 * size:
         raise ConvergenceFailureError(
             f"Ritz residual {residual:.3e} exceeds {1e-12 * size:.3e}"
@@ -586,10 +527,10 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
     128) it comes from T's even block of ``M/2`` rows (``_slepian_block``),
     the only route accurate there.  The
     eigenvalue is the Rayleigh quotient of the unit vector on the kernel,
-    through ``toeplitz_operator``.  The vector follows
-    ``fix_signs``; the 1x1 kernel and the identity kernel ``dalpha == 2*pi``
-    give the exact values of the dense solve.  Lower pairs are a
-    full-spectrum question, which ``eigensystem`` answers.
+    through ``toeplitz_operator``.  The vector's largest-magnitude entry is
+    positive; the 1x1 kernel and the identity kernel ``dalpha == 2*pi``
+    give the exact values of the dense solve.  Lower eigenvalues are a
+    full-spectrum question, which ``kernel_eigenvalues`` answers.
 
     Raises ConvergenceFailureError when the residual target
     ``1e-12 * (dk+1)`` is missed.
@@ -610,7 +551,9 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
         vector = np.concatenate((half, half[-2::-1]))
     else:
         vector = np.concatenate((half, half[::-1]))
-    vector = fix_signs((vector / np.linalg.norm(vector))[:, None])[:, 0]
+    vector /= np.linalg.norm(vector)
+    if vector[np.argmax(np.abs(vector))] < 0.0:
+        vector = -vector
 
     image = kernel_operator(delta_alpha, size)(vector)
     value = float(vector @ image)

@@ -15,7 +15,6 @@ from phasebound import (
     asymptotic_least_upper_bound,
     cauchy_bound,
     conditional_probability,
-    eigensystem,
     interval_probability,
     least_upper_bound,
     number_shift,
@@ -28,6 +27,7 @@ from phasebound import (
 )
 from phasebound.cli import main
 from conftest import TWO_PI, random_states
+from dense_reference import eigensystem
 
 DALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.2)
 DK_GRID = tuple(range(17))

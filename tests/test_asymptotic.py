@@ -9,13 +9,13 @@ from phasebound import (
     DomainError,
     asymptotic_least_upper_bound,
     concentration_parameter,
-    eigensystem,
     least_upper_bound,
     nystrom_eigenvalues,
     prolate_eigenvalues,
 )
 from phasebound.oracles import _sinc_kernel, gauss_legendre
 from conftest import TWO_PI
+from dense_reference import eigensystem
 
 XI_GRID = tuple(0.25 * k for k in range(1, 17))  # 0.25 .. 4.0
 

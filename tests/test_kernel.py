@@ -14,7 +14,6 @@ from phasebound import (
     build_kernel,
     cauchy_bound,
     conditional_probability,
-    eigensystem,
     kernel_eigenvalues,
     leading_eigenpair,
     least_upper_bound,
@@ -22,6 +21,7 @@ from phasebound import (
     random_state_search,
 )
 import phasebound.kernel as kernel_module
+from phasebound.cli import main
 from phasebound.kernel import (
     _fft_length,
     _gram_block,
@@ -33,6 +33,7 @@ from phasebound.kernel import (
     toeplitz_operator,
 )
 from conftest import TWO_PI
+from dense_reference import eigensystem
 
 DALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.2)
 DK_GRID = tuple(range(17))
@@ -220,14 +221,16 @@ class TestKernelEigenvalues:
 
     @pytest.mark.parametrize("dk", [7, 62, 63, 254, 255, 1000, 2302, 2303])
     def test_route(self, dk, monkeypatch):
-        # the Gram route runs exactly where K^2 <= 4M, and its tail is zeros
+        # the Gram route runs exactly where K^2 <= 4M, and its tail is zeros;
+        # the dense route gives the reference's eigenvalues to the bit
+        dense_eigenvalues = kernel_module._dense_eigenvalues
         dense = []
 
         def counted(*args):
             dense.append(args)
-            return eigensystem(*args)
+            return dense_eigenvalues(*args)
 
-        monkeypatch.setattr(kernel_module, "eigensystem", counted)
+        monkeypatch.setattr(kernel_module, "_dense_eigenvalues", counted)
         for xi, degrees in ((0.5, 16), (3.0, 32), (16.0, 96)):
             if xi > dk + 1:
                 continue
@@ -240,6 +243,8 @@ class TestKernelEigenvalues:
             if gram:
                 assert np.count_nonzero(vals) <= degrees
                 assert np.all(vals[degrees : dk + 1 - degrees] == 0.0)
+            else:
+                assert np.array_equal(vals, eigensystem(dalpha, dk).eigenvalues)
 
     @pytest.mark.parametrize("dk", [0, 1, 5, 40, 1000])
     def test_exact_cases(self, dk):
@@ -287,6 +292,36 @@ class TestKernelEigenvalues:
         monkeypatch.setattr(kernel_module, "kernel_operator", perturbed)
         with pytest.raises(ConvergenceFailureError, match="Ritz residual"):
             kernel_eigenvalues(TWO_PI * 2.0 / 1001, 1000)
+
+    def test_dense_residual_gate(self, monkeypatch, tmp_path):
+        # dk = 40 at xi 2 takes the dense route; an eigenpair off by 1e-6
+        # is refused, and `spectrum` exits 3 without writing its table
+        eigh = np.linalg.eigh
+
+        def perturbed(block):
+            w, u = eigh(block)
+            return w + 1e-6, u
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        dalpha = TWO_PI * 2.0 / 41
+        with pytest.raises(ConvergenceFailureError, match="eigensolve residual"):
+            kernel_eigenvalues(dalpha, 40)
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--dalpha", repr(dalpha), "--dk", "40", "--output", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+
+    def test_memory_at_north_star_dk(self):
+        # G P^T and the Ritz residual are taken 8 rows at a time, so the peak
+        # is the (K, M) basis and its image plus a few 8-row temporaries
+        # (76 MiB measured)
+        tracemalloc.start()
+        try:
+            kernel_eigenvalues(TWO_PI * 2.0 / 100001, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
 
 
 class TestLeastUpperBound:
@@ -507,8 +542,8 @@ class TestGridInvariants:
     @pytest.mark.parametrize("dalpha", DALPHA_GRID)
     def test_trace_identity(self, dalpha):
         for dk in DK_GRID:
-            res = eigensystem(dalpha, dk)
-            assert np.sum(res.eigenvalues) == pytest.approx(
+            vals = kernel_eigenvalues(dalpha, dk)
+            assert np.sum(vals) == pytest.approx(
                 (dk + 1) * dalpha / TWO_PI, abs=1e-10
             )
 
@@ -526,7 +561,7 @@ class TestGridInvariants:
         # eigenvalues cluster exponentially near 0 and 1, so distinctness is
         # only observable away from both endpoints
         for dk in DK_GRID:
-            vals = eigensystem(dalpha, dk).eigenvalues
+            vals = kernel_eigenvalues(dalpha, dk)
             assert np.all(np.diff(vals) <= 1e-15)
             mid = vals[(vals > 1e-10) & (vals < 1.0 - 1e-10)]
             if mid.size >= 2:
@@ -535,7 +570,7 @@ class TestGridInvariants:
     def test_positive_spectrum_above_noise(self):
         for dalpha in DALPHA_GRID:
             for dk in DK_GRID:
-                vals = eigensystem(dalpha, dk).eigenvalues
+                vals = kernel_eigenvalues(dalpha, dk)
                 assert vals[0] <= 1.0 + 1e-12
                 assert np.all(vals > -1e-13)
 

@@ -11,7 +11,10 @@ def test_exports_resolve():
     removed = {
         "AsymptoticSpectrum",
         "ComparisonReport",
+        "SpectrumDiagnostics",
+        "SpectrumResult",
         "compare_discrete_to_asymptotic",
+        "eigensystem",
         "nystrom_spectrum",
         "second_eigenvalue_bound",
     }
