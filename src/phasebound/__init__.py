@@ -5,7 +5,7 @@ measurement of precision ``dk`` succeeds with probability at most the largest
 eigenvalue of a sinc-like Toeplitz concentration kernel; the top eigenvector
 is the optimal state.  This package evaluates the covariant measurement model
 behind that statement, the kernel spectrum, its infinite-``dk`` limit, and
-ships brute-force oracles plus a CLI for reproducible sweeps.
+ships independent oracles plus a CLI for reproducible sweeps.
 """
 
 from .asymptotic import (
@@ -35,8 +35,6 @@ from .oracles import (
     PowerIterationResult,
     nystrom_eigenvalues,
     power_iteration,
-    quadrature_probability,
-    random_state_search,
 )
 from .povm import (
     PhaseMatrix,
@@ -90,8 +88,6 @@ __all__ = [
     "phase_shift",
     "power_iteration",
     "prolate_eigenvalues",
-    "quadrature_probability",
-    "random_state_search",
     "reduce",
     "uniform_phase_density",
 ]

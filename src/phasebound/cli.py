@@ -1,9 +1,13 @@
 """Command-line surface: bounds, curves, distributions and spectra.
 
 Files are written deterministically: identical invocations produce identical
-bytes, grid points are computed one after another in a fixed order, and every
-float is printed with 17 significant digits so it re-parses to the same
-double.  CSV output is RFC-4180 with LF line endings.
+bytes, and every float is printed with 17 significant digits so it re-parses
+to the same double.  CSV output is RFC-4180 with LF line endings.  A table is
+formatted by one ``%`` call on a template that holds everything but its
+floats: ``spectrum`` joins its row indices into one, and ``distribution``
+builds one per ``--points`` value with the phi column already written in
+(``_density_template``, which keeps the last), so repeated calls on one grid
+format only the densities.
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ from .asymptotic import (
 from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
 from .kernel import cauchy_bound, kernel_eigenvalues, least_upper_bound
 from .oracles import power_iteration
-from .povm import conditional_probability, interval_probability, uniform_phase_density
+from .povm import (
+    _uniform_grid,
+    conditional_probability,
+    interval_probability,
+    uniform_phase_density,
+)
 from .states import TWO_PI, FockState, NumberWindow, PhaseWindow, normalize
 
 EXIT_OK = 0
@@ -74,6 +83,18 @@ def _fmt_amplitudes(values: np.ndarray) -> str:
         head = _fmt_join(values[: n - n // 2].tolist()).split(",")
         return ",".join(head + head[: n // 2][::-1])
     return _fmt_join(values.tolist())
+
+
+@lru_cache(maxsize=1)
+def _density_template(points: int) -> str:
+    """The ``distribution`` table on ``points`` grid points, header included,
+    with every phi written in and a ``_FLOAT`` slot for each density.
+
+    The phi column depends on ``points`` alone and is half the table's
+    formatting, so it is formatted once per point count; one grid is kept.
+    """
+    rows = f"{_FLOAT},%{_FLOAT}\n" * points
+    return "phi,density\n" + rows % tuple(_uniform_grid(points).tolist())
 
 
 def _cell(value) -> str:
@@ -314,12 +335,9 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise DomainError("points must be >= 1")
 
-    phi, dens = uniform_phase_density(state, args.points)
+    dens = uniform_phase_density(state, args.points)[1]
     out = Path(args.output)
-    table = [0.0] * (2 * args.points)
-    table[::2], table[1::2] = phi.tolist(), dens.tolist()
-    rows = "\n".join([f"{_FLOAT},{_FLOAT}"] * args.points) % tuple(table)
-    out.write_text(f"phi,density\n{rows}\n", encoding="ascii")
+    out.write_text(_density_template(args.points) % tuple(dens.tolist()), encoding="ascii")
 
     sidecar = {
         "kind": "distribution",
@@ -355,7 +373,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             raise DomainError(f"nodes {nodes} must be an integer >= 2")
         vals = prolate_eigenvalues(args.xi, nodes)
         header, tail = "index,eigenvalue,nodes", f",{nodes}"
-    rows = "\n".join(f"{i},{_FLOAT}{tail}" for i in range(vals.size)) % tuple(vals.tolist())
+    sep = f",{_FLOAT}{tail}\n"
+    rows = (sep.join(map(str, range(vals.size))) + sep[:-1]) % tuple(vals.tolist())
     out.write_text(f"{header}\n{rows}\n", encoding="ascii")
     return EXIT_OK
 

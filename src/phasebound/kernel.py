@@ -132,7 +132,8 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     5-smooth ``_fft_length``), whose FFT is computed once here; each product
     then costs one real FFT pair of length ``L``.  A ``(..., n)`` stack is
     multiplied row by row in one call.  Complex vectors are multiplied as
-    their real and imaginary parts.
+    their real and imaginary parts; an all-zero imaginary part (a real
+    vector passed as complex) costs no product.
     """
     n = col.size
     length = _fft_length(2 * n - 1)
@@ -144,6 +145,8 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     def matvec(v: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(v):
+            if not v.imag.any():
+                return matvec(v.real).astype(np.complex128)
             return matvec(v.real) + 1j * matvec(v.imag)
         return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[..., :n]
 

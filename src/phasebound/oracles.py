@@ -1,15 +1,13 @@
-"""Independent brute-force checks for the closed-form machinery.
+"""Independent checks for the closed-form machinery.
 
-Window probabilities are integrated with composite Simpson on a
-pointwise-evaluated density, the top eigenvalue is re-derived from the power
-iterates of a random start, and the variational bound is probed with seeded
-random states on the dense kernel; the spectrum of the ``dk -> inf`` sinc
-operator is re-derived by Gauss-Legendre quadrature.  Agreement between these
-and the closed forms is what the test suite leans on.  Each oracle takes only
-the parameters its callers vary: ``power_iteration`` its cap on kernel
-products, ``random_state_search`` its trial count and seed,
-``nystrom_eigenvalues`` its ``xi`` and node count.  The Simpson interval
-count and the power-iteration tolerance and seed are module constants.
+The top eigenvalue is re-derived from the power iterates of a random start
+(``bound --verify`` runs it), and the spectrum of the ``dk -> inf`` sinc
+operator by Gauss-Legendre quadrature.  Each oracle takes only the
+parameters its callers vary: ``power_iteration`` its cap on kernel products,
+``nystrom_eigenvalues`` its ``xi`` and node count.  The power-iteration
+tolerance and seed are module constants.  Two brute-force checks are test
+code and live in ``tests/reference_oracles.py``: a Simpson integral of the
+density and a random-state search of the variational bound.
 
 The power-iteration oracle multiplies by the kernel through
 ``kernel.kernel_operator``, the FFT product that ``leading_eigenpair`` and
@@ -41,34 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceFailureError, DomainError
-from .kernel import build_kernel, check_domain, kernel_operator, parity_blocks
-from .states import TWO_PI, FockState, PhaseWindow
-
-
-# Simpson subintervals per full circle
-_QUADRATURE_INTERVALS = 4096
-
-
-def quadrature_probability(state: FockState, window: PhaseWindow) -> float:
-    """Composite-Simpson integral of the canonical phase density over the window.
-
-    The density is evaluated directly from the Fourier sum so this path stays
-    independent of the kernel quadratic form.
-    """
-    if window.width == 0.0:
-        return 0.0
-    lo, hi = window.bounds
-    nsub = int(round(_QUADRATURE_INTERVALS * window.width / TWO_PI))
-    nsub = max(2, nsub + (nsub % 2))
-    phi = np.linspace(lo, hi, nsub + 1)
-    j = np.arange(state.size)
-    amp = np.exp(-1j * np.outer(phi, j)) @ state.amplitudes
-    dens = np.abs(amp) ** 2 / TWO_PI
-    h = window.width / nsub
-    weights = np.ones(nsub + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, dens))
+from .kernel import check_domain, kernel_operator, parity_blocks
 
 
 @dataclass(frozen=True)
@@ -185,33 +156,6 @@ def power_iteration(
         converged=False,
         gap_degenerate=False,
     )
-
-
-def random_state_search(
-    delta_alpha: float, delta_k: int, trials: int = 1000, seed: int = 0
-) -> float:
-    """Best quadratic-form value over seeded random normalized states.
-
-    States are drawn with complex Gaussian amplitudes on {0..dk} (the
-    rotation-invariant distribution on the sphere), one child seed
-    ``seed + trial`` per trial so runs are reproducible and trials could be
-    farmed out without changing the result.  ``trials < 1`` raises
-    ValueError.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_domain(delta_alpha, delta_k)
-    g = build_kernel(delta_alpha, delta_k).entries
-    dim = delta_k + 1
-    states = np.empty((trials, dim), dtype=np.complex128)
-    for t in range(trials):
-        z = np.random.default_rng(seed + t).standard_normal(2 * dim)
-        states[t] = z[:dim] + 1j * z[dim:]
-    norms = np.linalg.norm(states, axis=1)
-    norms[norms == 0.0] = 1.0  # measure-zero guard; value 0 cannot win
-    states /= norms[:, None]
-    values = np.einsum("td,de,te->t", states.conj(), g, states).real
-    return float(values.max())
 
 
 _NEWTON_STEPS = 10

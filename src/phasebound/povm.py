@@ -9,7 +9,7 @@ in the number of points, or on a uniform grid by one FFT
 (positive semidefinite with unit diagonal), so every instance is valid.
 Interval probabilities are evaluated in closed form through the concentration
 kernel (the window integral of each Fourier mode has a sinc antiderivative),
-so no quadrature is involved outside the oracle module.
+so no quadrature is involved; the tests check it against a Simpson integral.
 """
 
 from __future__ import annotations
@@ -146,6 +146,13 @@ def phase_density(
     return float(dens[0]) if scalar else dens
 
 
+def _uniform_grid(points: int) -> np.ndarray:
+    """The grid ``phi_m = -pi + 2*pi*m/points``, ``m = 0..points-1``: the one
+    expression behind both ``uniform_phase_density`` and the phi column that
+    ``cli`` formats once per point count, so the two cannot drift apart."""
+    return -np.pi + TWO_PI * np.arange(points) / points
+
+
 def uniform_phase_density(state: FockState, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical density on the grid ``phi_m = -pi + 2*pi*m/points``: the
     grid and the density at it.
@@ -159,8 +166,7 @@ def uniform_phase_density(state: FockState, points: int) -> tuple[np.ndarray, np
     folded[: state.size] = state.amplitudes
     folded[1 : state.size : 2] *= -1.0
     amp = np.fft.fft(folded.reshape(-1, points).sum(axis=0))
-    phi = -np.pi + TWO_PI * np.arange(points) / points
-    return phi, (amp.real**2 + amp.imag**2) / TWO_PI
+    return _uniform_grid(points), (amp.real**2 + amp.imag**2) / TWO_PI
 
 
 def interval_probability(state: FockState, window: PhaseWindow) -> float:

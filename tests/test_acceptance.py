@@ -23,11 +23,11 @@ from phasebound import (
     phase_shift,
     power_iteration,
     prolate_eigenvalues,
-    random_state_search,
 )
 from phasebound.cli import main
 from conftest import TWO_PI, random_states
 from dense_reference import eigensystem
+from reference_oracles import random_state_search
 
 DALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.2)
 DK_GRID = tuple(range(17))

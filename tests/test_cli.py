@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 import phasebound
-from phasebound.cli import _fmt, _fmt_amplitudes, _fmt_join, build_parser, main, parse_dk_list
+from phasebound.cli import (
+    _density_template,
+    _fmt,
+    _fmt_amplitudes,
+    _fmt_join,
+    build_parser,
+    main,
+    parse_dk_list,
+)
 from conftest import TWO_PI
 
 PI_TEXT = "3.141592653589793"
@@ -352,6 +360,49 @@ class TestDistribution:
             (np.pi + 2.0) / TWO_PI, abs=1e-12
         )
 
+    def reference_table(self, path, points):
+        """The table formatted row by row from the library's grid and density."""
+        state = phasebound.normalize(phasebound.FockState.from_json(json.loads(path.read_text())))
+        phi, dens = phasebound.uniform_phase_density(state, points)
+        rows = "\n".join(f"{p:.17g},{d:.17g}" for p, d in zip(phi.tolist(), dens.tolist()))
+        return f"phi,density\n{rows}\n".encode("ascii")
+
+    def drawn_state(self, tmp_path, name, size, seed):
+        rng = np.random.default_rng(seed)
+        re, im = rng.standard_normal((2, size)).tolist()
+        path = tmp_path / name
+        path.write_text(json.dumps({"offset": 3, "re": re, "im": im}))
+        return path
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 16, 1000, 16384])
+    def test_bytes_match_per_row_reference(self, tmp_path, capsys, points):
+        # 37 amplitudes: folded onto the grid when points < 37
+        st = self.drawn_state(tmp_path, "s.json", 37, seed=points)
+        out = tmp_path / "d.csv"
+        argv = [
+            "distribution", "--state", str(st), "--dalpha", "1.0",
+            "--points", str(points), "--output", str(out),
+        ]
+        assert main(argv) == 0
+        assert out.read_bytes() == self.reference_table(st, points)
+
+    def test_grid_cache_carries_no_density(self, tmp_path, capsys):
+        # one cached grid: alternating states and point counts must each give
+        # their own bytes, never a table left from the call before
+        states = [self.drawn_state(tmp_path, f"{tag}.json", 5, seed) for tag, seed in (("a", 1), ("b", 2))]
+        out = tmp_path / "d.csv"
+        tables = set()
+        for st, points in zip(states * 3, (16, 16, 7, 16, 7, 7)):
+            argv = [
+                "distribution", "--state", str(st), "--dalpha", "1.0",
+                "--points", str(points), "--output", str(out),
+            ]
+            assert main(argv) == 0
+            assert out.read_bytes() == self.reference_table(st, points)
+            tables.add(out.read_bytes())
+        assert len(tables) == 4
+        assert _density_template.cache_info().maxsize == 1
+
     def test_zero_state_exit_code(self, tmp_path, capsys):
         st = self.write_state(tmp_path, [0.0, 0.0], [0.0, 0.0])
         argv = [
@@ -419,6 +470,25 @@ class TestSpectrum:
         assert main(argv) == 0
         _, rows = read_csv(out)
         assert [float(c[1]) for c in rows] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dalpha", "1.0", "--dk", "0"],
+            ["--dalpha", "1.0", "--dk", "1"],
+            ["--dalpha", "1.0", "--dk", "30"],
+            ["--xi", "1", "--nodes", "2"],
+        ],
+    )
+    def test_bytes_match_per_row_reference(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", *flags, "--output", str(out)]) == 0
+        if flags[0] == "--dalpha":
+            vals, head, tail = phasebound.kernel_eigenvalues(1.0, int(flags[3])), "index,eigenvalue", ""
+        else:
+            vals, head, tail = phasebound.prolate_eigenvalues(1.0, 2), "index,eigenvalue,nodes", ",2"
+        rows = "".join(f"{i},{v:.17g}{tail}\n" for i, v in enumerate(vals.tolist()))
+        assert out.read_bytes() == f"{head}\n{rows}".encode("ascii")
 
     def test_continuum_trace(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

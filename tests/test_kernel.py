@@ -18,7 +18,6 @@ from phasebound import (
     leading_eigenpair,
     least_upper_bound,
     power_iteration,
-    random_state_search,
 )
 import phasebound.kernel as kernel_module
 from phasebound.cli import main
@@ -34,6 +33,7 @@ from phasebound.kernel import (
 )
 from conftest import TWO_PI
 from dense_reference import eigensystem
+from reference_oracles import random_state_search
 
 DALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.2)
 DK_GRID = tuple(range(17))
@@ -117,6 +117,19 @@ class TestToeplitzOperator:
                 image = apply(x)
                 assert image.dtype == x.dtype
                 assert np.max(np.abs(image - dense @ x)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 1001, 1117])
+    def test_real_vector_as_complex(self, n):
+        # a zero imaginary part skips its product; the real part is the
+        # two-product path's, bit for bit
+        rng = np.random.default_rng(n + 3)
+        apply = toeplitz_operator(kernel_column(2.5, n))
+        for real in (rng.standard_normal(n), rng.standard_normal((3, n))):
+            both = apply(real) + 1j * apply(np.zeros_like(real))
+            image = apply(real.astype(np.complex128))
+            assert image.dtype == np.complex128
+            assert np.array_equal(image.real.view(np.int64), both.real.view(np.int64))
+            assert not image.imag.any()
 
     @pytest.mark.parametrize("n", [1, 2, 1001, 1117])
     def test_stacked_rows(self, n):

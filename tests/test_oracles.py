@@ -15,10 +15,9 @@ from phasebound import (
     least_upper_bound,
     normalize,
     power_iteration,
-    quadrature_probability,
-    random_state_search,
 )
 from conftest import TWO_PI, random_states
+from reference_oracles import quadrature_probability, random_state_search
 
 
 class TestOracleConfig:
@@ -27,6 +26,7 @@ class TestOracleConfig:
 
     def test_defaults(self):
         import phasebound.oracles as oracles
+        import reference_oracles
 
         def defaults(fn):
             params = inspect.signature(fn).parameters.values()
@@ -35,7 +35,7 @@ class TestOracleConfig:
         assert defaults(power_iteration) == {"max_iterations": 100_000}
         assert defaults(random_state_search) == {"trials": 1000, "seed": 0}
         assert defaults(quadrature_probability) == {}
-        assert oracles._QUADRATURE_INTERVALS == 4096
+        assert reference_oracles._QUADRATURE_INTERVALS == 4096
         assert oracles._POWER_TOLERANCE == 1e-12
         assert oracles._POWER_SEED == 0
 

@@ -30,6 +30,11 @@ def test_exports_resolve():
     for name in ("OracleConfig", "NoConvergenceError"):
         assert name not in names
         assert not hasattr(phasebound, name)
+    # the brute-force oracles only the tests call live in tests/reference_oracles.py
+    for name in ("quadrature_probability", "random_state_search"):
+        assert name not in names
+        assert not hasattr(phasebound, name)
+        assert not hasattr(phasebound.oracles, name)
 
 
 def test_traced_benchmark_names():

@@ -20,11 +20,11 @@ from phasebound import (
     number_shift,
     phase_density,
     phase_shift,
-    quadrature_probability,
     reduce,
     uniform_phase_density,
 )
 from conftest import TWO_PI, random_states
+from reference_oracles import quadrature_probability
 
 HALF_PLUS = normalize(FockState([1.0, 1.0]))  # equal two-term superposition
 TRIPLE = normalize(FockState([1.0, 1.0, 1.0]))
