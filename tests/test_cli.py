@@ -15,7 +15,6 @@ import pytest
 
 import phasebound
 from phasebound.cli import (
-    _density_template,
     _fmt,
     _fmt_amplitudes,
     _fmt_join,
@@ -401,7 +400,6 @@ class TestDistribution:
             assert out.read_bytes() == self.reference_table(st, points)
             tables.add(out.read_bytes())
         assert len(tables) == 4
-        assert _density_template.cache_info().maxsize == 1
 
     def test_zero_state_exit_code(self, tmp_path, capsys):
         st = self.write_state(tmp_path, [0.0, 0.0], [0.0, 0.0])
