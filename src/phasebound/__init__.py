@@ -24,8 +24,6 @@ from .errors import (
     ZeroStateError,
 )
 from .kernel import (
-    ConcentrationKernel,
-    build_kernel,
     cauchy_bound,
     kernel_eigenvalues,
     leading_eigenpair,
@@ -57,7 +55,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConcentrationKernel",
     "ConvergenceFailureError",
     "DomainError",
     "FockState",
@@ -72,7 +69,6 @@ __all__ = [
     "PowerIterationResult",
     "ZeroStateError",
     "asymptotic_least_upper_bound",
-    "build_kernel",
     "cauchy_bound",
     "concentration_parameter",
     "conditional_probability",

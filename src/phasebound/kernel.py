@@ -18,7 +18,7 @@ every later one, printed as 0, is certified within ``B_K <= 1e-30`` of its
 value; ``K`` is a few dozen (32 up to xi 3).  Ritz values below about eps
 are still rounding noise.  The polynomials' recurrence stays orthonormal
 only up to about ``2 sqrt(M)`` degrees, ``M = dk+1``; past that crossover
-(xi 3 below ``dk = 255``) the dense kernel is solved instead.  It is
+(xi 3 below ``dk = 255``) the kernel is solved densely instead.  It is
 centrosymmetric (``G[i, j] = G[n-1-i, n-1-j]``), so it maps even and odd
 sequences to themselves, and its even and odd half-blocks
 (``parity_blocks``, which the Nystrom oracle in ``oracles`` uses too) give
@@ -41,20 +41,20 @@ and large ``xi`` up to ``dk`` of a few thousand), the recurrence loses
 digits and the same solver runs on Slepian's even block of ``M/2`` rows
 instead.
 
-Where only products with the kernel are needed, ``toeplitz_operator`` takes
-them through an FFT of its circulant embedding, in O(dk log dk) time and
-O(dk) memory per vector, and ``kernel_operator`` builds it once per
-``(dalpha, size)`` for ``kernel_eigenvalues``, the Rayleigh quotient in
-``leading_eigenpair``, the power-iteration oracle and the window
-probability ``povm.interval_probability``.  The dense ``build_kernel``
-serves the dense spectrum and the random-state oracle.
+The kernel's first column (``kernel_column``) is the only form of it the
+program keeps.  Products with the kernel go through ``kernel_operator``, an
+FFT of its circulant embedding built once per ``(dalpha, size)``, in
+O(dk log dk) time and O(dk) memory per vector: for ``kernel_eigenvalues``,
+the Rayleigh quotient in ``leading_eigenpair``, the power-iteration oracle
+and the window probability ``povm.interval_probability``.  The dense solve
+reads its half-block rows as a window view of the mirrored column, so no
+``M x M`` matrix is formed anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,17 +96,6 @@ def kernel_column(delta_alpha: float, size: int) -> np.ndarray:
     return col
 
 
-def toeplitz_from_column(col: np.ndarray) -> np.ndarray:
-    """Dense symmetric Toeplitz matrix with first column ``col``.
-
-    Row ``i`` is a window of ``col`` mirrored about its first entry, so the
-    only allocation besides the result is that ``2n-1`` sequence.
-    """
-    n = col.size
-    mirrored = np.concatenate((col[:0:-1], col))
-    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
-
-
 def _fft_length(target: int) -> int:
     """Smallest ``2^a 3^b 5^c >= target``: numpy's FFT has fast radices for
     these factors and falls back to Bluestein's algorithm for large primes."""
@@ -124,22 +113,26 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Matvec ``v -> G v`` for the symmetric Toeplitz ``G`` with first column
-    ``col``, never forming ``G``.
+@lru_cache(maxsize=4)
+def kernel_operator(delta_alpha: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Matvec ``v -> G v`` for the kernel ``G`` on ``size`` indices, never
+    forming ``G``; built once per ``(delta_alpha, size)`` and shared: one
+    ``bound --verify`` multiplies by the same kernel in ``leading_eigenpair``,
+    the power-iteration oracle and ``povm.interval_probability``;
+    ``kernel_eigenvalues`` uses it too.
 
-    ``G`` is the leading block of a circulant of length ``L >= 2n-1`` (the
+    ``G`` is the leading block of a circulant of length ``L >= 2M-1`` (the
     5-smooth ``_fft_length``), whose FFT is computed once here; each product
-    then costs one real FFT pair of length ``L``.  A ``(..., n)`` stack is
+    then costs one real FFT pair of length ``L``.  A ``(..., M)`` stack is
     multiplied row by row in one call.  Complex vectors are multiplied as
     their real and imaginary parts; an all-zero imaginary part (a real
     vector passed as complex) costs no product.
     """
-    n = col.size
-    length = _fft_length(2 * n - 1)
+    col = kernel_column(float(delta_alpha), size)
+    length = _fft_length(2 * size - 1)
     circulant = np.zeros(length)
-    circulant[:n] = col
-    circulant[length - n + 1 :] = col[:0:-1]
+    circulant[:size] = col
+    circulant[length - size + 1 :] = col[:0:-1]
     spectrum = np.fft.rfft(circulant)
     spectrum.flags.writeable = False
 
@@ -148,35 +141,9 @@ def toeplitz_operator(col: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             if not v.imag.any():
                 return matvec(v.real).astype(np.complex128)
             return matvec(v.real) + 1j * matvec(v.imag)
-        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[..., :n]
+        return np.fft.irfft(spectrum * np.fft.rfft(v, length), length)[..., :size]
 
     return matvec
-
-
-@lru_cache(maxsize=4)
-def kernel_operator(delta_alpha: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``toeplitz_operator(kernel_column(delta_alpha, size))``, built once per
-    ``(delta_alpha, size)`` and shared: one ``bound --verify`` multiplies by
-    the same kernel in ``leading_eigenpair``, the power-iteration oracle and
-    ``povm.interval_probability``; ``kernel_eigenvalues`` uses it too."""
-    return toeplitz_operator(kernel_column(float(delta_alpha), size))
-
-
-@dataclass(frozen=True)
-class ConcentrationKernel:
-    """Built kernel matrix together with its parameters."""
-
-    delta_alpha: float
-    delta_k: int
-    entries: np.ndarray
-
-
-def build_kernel(delta_alpha: float, delta_k: int) -> ConcentrationKernel:
-    """Assemble the (dk+1) x (dk+1) concentration kernel."""
-    check_domain(delta_alpha, delta_k)
-    entries = toeplitz_from_column(kernel_column(float(delta_alpha), delta_k + 1))
-    entries.flags.writeable = False
-    return ConcentrationKernel(float(delta_alpha), int(delta_k), entries)
 
 
 def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,16 +170,22 @@ def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
-    """All eigenvalues of the dense kernel (``build_kernel``), descending:
-    ``eigh`` of its even and odd half-blocks (``parity_blocks``).
+    """All eigenvalues of the kernel, descending: ``eigh`` of its even and
+    odd half-blocks (``parity_blocks``).
+
+    Row ``i`` of the kernel is the window of the mirrored column
+    ``col[M-1:0:-1], col`` that starts at ``M-1-i``; the blocks are built
+    from a read-only view of the first ``M - M//2`` of those rows, so the
+    ``M x M`` kernel is never formed.
 
     Raises ConvergenceFailureError when an eigenpair's residual exceeds
     ``1e-12 * (dk+1)``.
     """
-    entries = build_kernel(delta_alpha, delta_k).entries
-    size = entries.shape[0]
+    size = delta_k + 1
+    col = kernel_column(float(delta_alpha), size)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((col[:0:-1], col)), size)
     vals, residual = [], 0.0
-    for block in parity_blocks(entries[: size - size // 2]):
+    for block in parity_blocks(windows[::-1][: size - size // 2]):
         w, u = np.linalg.eigh(block)
         columns = np.linalg.norm(block @ u - u * w, axis=0)
         residual = max(residual, float(columns.max(initial=0.0)))
@@ -236,7 +209,8 @@ def _tail_bound(delta_alpha: float, size: int, degrees: int) -> float:
     with ``a = dalpha/2``; Courant-Fischer gives the rest.  ``x^{2K}`` is
     convex, so ``|x^K|^2 <= int_{-M/2}^{M/2} x^{2K} = 2 (M/2)^{2K+1}/(2K+1)``,
     and ``B_K = 2 c^{2K+1} / (pi (2K+1)^2 K!^2)`` with ``c = a M/2 =
-    pi xi/2``: the same whatever ``dk``.  Taken in logs.
+    pi xi/2``: the same whatever ``dk``.  Taken in logs, and ``inf`` where
+    it exceeds the float range.
     """
     c = 0.25 * delta_alpha * size
     k = float(degrees)
@@ -246,7 +220,10 @@ def _tail_bound(delta_alpha: float, size: int, degrees: int) -> float:
         - 2 * math.lgamma(k + 1)
         + math.log(2 / math.pi)
     )
-    return math.exp(log_bound)
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
 
 
 def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
@@ -270,7 +247,8 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
     about ``2 sqrt(M)`` degrees, ``M = dk+1`` (past that, polynomials on an
     equispaced grid grow exponentially towards its ends, Coppersmith and
     Rivlin 1992; 1e-12 is lost near ``4 sqrt(M)``).  Where ``K^2 > 4M`` the
-    dense kernel answers instead (``_dense_eigenvalues``): below ``dk = 63``
+    dense parity blocks answer instead (``_dense_eigenvalues``, built from
+    ``kernel_column`` without the ``M x M`` kernel): below ``dk = 63``
     at xi 0.5, ``dk = 255`` at xi 3 and ``dk = 2303`` at xi 16.  ``dk = 0``
     and ``dalpha`` 0 or ``2*pi`` give the exact values of the dense solve.
 
@@ -530,7 +508,7 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
     128) it comes from T's even block of ``M/2`` rows (``_slepian_block``),
     the only route accurate there.  The
     eigenvalue is the Rayleigh quotient of the unit vector on the kernel,
-    through ``toeplitz_operator``.  The vector's largest-magnitude entry is
+    through ``kernel_operator``.  The vector's largest-magnitude entry is
     positive; the 1x1 kernel and the identity kernel ``dalpha == 2*pi``
     give the exact values of the dense solve.  Lower eigenvalues are a
     full-spectrum question, which ``kernel_eigenvalues`` answers.

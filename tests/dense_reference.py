@@ -1,6 +1,8 @@
-"""Dense reference eigendecomposition of the kernel, for tests only.
+"""Dense reference kernel and eigendecomposition, for tests only.
 
-``eigensystem`` solves the whole kernel with vectors, O(dk^3), through the
+``dense_kernel`` is the whole ``(dk+1) x (dk+1)`` kernel, scipy's Toeplitz
+matrix of the program's ``kernel_column``; the program itself never forms
+it.  ``eigensystem`` solves that kernel with vectors, O(dk^3), through the
 same even and odd half-blocks (``parity_blocks``) as the program's dense
 route; ``parity_vectors`` maps the blocks' eigenvectors back to the grid.
 The program asks for the eigenvalues alone (``kernel_eigenvalues``) or the
@@ -13,9 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from phasebound.errors import ConvergenceFailureError
-from phasebound.kernel import build_kernel, parity_blocks
+from phasebound.kernel import kernel_column, parity_blocks
+
+
+def dense_kernel(delta_alpha: float, delta_k: int) -> np.ndarray:
+    """The ``(dk+1) x (dk+1)`` kernel from its first column."""
+    return scipy.linalg.toeplitz(kernel_column(float(delta_alpha), delta_k + 1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ def parity_vectors(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
-    """Full symmetric eigendecomposition of the kernel (``build_kernel``),
+    """Full symmetric eigendecomposition of the kernel (``dense_kernel``),
     eigenvalues descending.
 
     The kernel is solved through its even and odd half-blocks
@@ -77,7 +85,7 @@ def eigensystem(delta_alpha: float, delta_k: int) -> SpectrumResult:
     Raises ConvergenceFailureError when the residual target
     ``1e-12 * (dk+1)`` is missed.
     """
-    entries = build_kernel(delta_alpha, delta_k).entries
+    entries = dense_kernel(delta_alpha, delta_k)
     n = entries.shape[0]
     blocks = parity_blocks(entries[: n - n // 2])
     solved = [np.linalg.eigh(block) for block in blocks]

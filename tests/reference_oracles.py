@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from phasebound.kernel import build_kernel, check_domain
+from phasebound.kernel import check_domain
 from phasebound.states import TWO_PI, FockState, PhaseWindow
+from dense_reference import dense_kernel
 
 # Simpson subintervals per full circle
 _QUADRATURE_INTERVALS = 4096
@@ -56,7 +57,7 @@ def random_state_search(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_domain(delta_alpha, delta_k)
-    g = build_kernel(delta_alpha, delta_k).entries
+    g = dense_kernel(delta_alpha, delta_k)
     dim = delta_k + 1
     states = np.empty((trials, dim), dtype=np.complex128)
     for t in range(trials):

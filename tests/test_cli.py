@@ -23,6 +23,7 @@ from phasebound.cli import (
     parse_dk_list,
 )
 from conftest import TWO_PI
+from dense_reference import dense_kernel
 
 PI_TEXT = "3.141592653589793"
 TWO_PI_TEXT = "6.283185307179586"
@@ -538,8 +539,20 @@ class TestSpectrum:
         assert main(argv) == 0
         _, rows = read_csv(out)
         vals = np.array([float(c[1]) for c in rows])
-        dense = np.sort(np.linalg.eigvalsh(phasebound.build_kernel(2.0, 65).entries))[::-1]
+        dense = np.sort(np.linalg.eigvalsh(dense_kernel(2.0, 65)))[::-1]
         assert np.max(np.abs(vals - dense)) <= 1e-14
+
+    def test_discrete_large_xi(self, tmp_path, capsys):
+        # xi about 1911: the tail bound passes the float range on the way to
+        # K^2 > 4M, and the dense route answers
+        dk = 2000
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--dalpha", "6", "--dk", str(dk), "--output", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        vals = np.array([float(c[1]) for c in rows])
+        dense = np.sort(np.linalg.eigvalsh(dense_kernel(6.0, dk)))[::-1]
+        assert np.max(np.abs(vals - dense)) <= (dk + 1) * np.finfo(float).eps
 
     @pytest.mark.parametrize("xi", [0.5, 3.0])
     def test_discrete_certified_tail(self, tmp_path, capsys, xi):
@@ -628,11 +641,36 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
     assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the runtime needs numpy alone, though the tests' dense reference is
+    # scipy's: importing the CLI and running every command loads no scipy
     src = str(Path(phasebound.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import phasebound.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"offset": 0, "re": [1.0, 1.0], "im": [0.0, 0.0]}))
+    commands = [
+        ["bound", "--dalpha", "1.0", "--dk", "40", "--verify"],
+        ["spectrum", "--dalpha", "0.3", "--dk", "40", "--output", str(tmp_path / "dense.csv")],
+        ["spectrum", "--dalpha", "0.01", "--dk", "1000", "--output", str(tmp_path / "gram.csv")],
+        ["spectrum", "--xi", "1", "--nodes", "64", "--output", str(tmp_path / "continuum.csv")],
+        ["distribution", "--state", str(state), "--dalpha", "1.0", "--points", "16",
+         "--output", str(tmp_path / "d.csv")],
+        ["curve", "--dk", "0,1,3,inf", "--xi-stop", "1", "--xi-step", "0.25",
+         "--output", str(tmp_path / "c.csv")],
+    ]
+    code = (
+        "import json, sys\n"
+        "import phasebound.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert phasebound.cli.main(argv) == 0, argv\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("dk", [0, 1, 2, 40, 41, 1000, 1001])

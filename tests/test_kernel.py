@@ -11,7 +11,6 @@ from phasebound import (
     DomainError,
     NumberWindow,
     PhaseWindow,
-    build_kernel,
     cauchy_bound,
     conditional_probability,
     kernel_eigenvalues,
@@ -28,11 +27,10 @@ from phasebound.kernel import (
     _tail_bound,
     _top_eigenvector,
     kernel_column,
-    toeplitz_from_column,
-    toeplitz_operator,
+    kernel_operator,
 )
 from conftest import TWO_PI
-from dense_reference import eigensystem
+from dense_reference import dense_kernel, eigensystem
 from reference_oracles import random_state_search
 
 DALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 6.2)
@@ -48,40 +46,36 @@ def lam0_dk1(dalpha):
 
 
 class TestBuildKernel:
+    """The kernel as the tests build it: ``kernel_column``, the program's only
+    form of the kernel, and its dense Toeplitz matrix (``dense_kernel``)."""
+
     def test_small_matrix_entries(self):
-        g = build_kernel(np.pi, 1).entries
+        assert np.array_equal(kernel_column(np.pi, 2), [0.5, 1.0 / np.pi])
+        g = dense_kernel(np.pi, 1)
         assert g[0, 0] == g[1, 1] == pytest.approx(0.5)
         assert g[0, 1] == g[1, 0] == pytest.approx(1.0 / np.pi)
 
     def test_full_width_gives_identity(self):
-        g = build_kernel(TWO_PI, 3).entries
-        assert np.array_equal(g, np.eye(4))
+        assert np.array_equal(kernel_column(TWO_PI, 4), [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(dense_kernel(TWO_PI, 3), np.eye(4))
 
     def test_zero_width_gives_zero(self):
-        assert not np.any(build_kernel(0.0, 4).entries)
+        assert not np.any(kernel_column(0.0, 5))
 
     def test_symmetric_toeplitz(self):
-        g = build_kernel(2.3, 9).entries
+        col = kernel_column(2.3, 10)
+        g = dense_kernel(2.3, 9)
         assert np.array_equal(g, g.T)
-        for d in range(1, 10):
-            band = np.diagonal(g, offset=d)
-            assert np.all(band == band[0])
+        for d in range(10):
+            assert np.all(np.diagonal(g, offset=d) == col[d])
 
     def test_trace_identity(self):
-        k = build_kernel(1.7, 12)
-        assert np.trace(k.entries) == pytest.approx(13 * 1.7 / TWO_PI, abs=1e-12)
-
-    @pytest.mark.parametrize("dalpha,dk", [(-0.1, 1), (TWO_PI + 0.1, 1), (np.nan, 1), (1.0, -1)])
-    def test_domain(self, dalpha, dk):
-        with pytest.raises(DomainError):
-            build_kernel(dalpha, dk)
-
-    def test_non_integer_dk(self):
-        with pytest.raises(DomainError):
-            build_kernel(1.0, 1.5)
+        assert np.trace(dense_kernel(1.7, 12)) == pytest.approx(13 * 1.7 / TWO_PI, abs=1e-12)
 
 
 class TestToeplitzOperator:
+    """``kernel_operator``, the one way the program multiplies by the kernel."""
+
     @staticmethod
     def gathered(col):
         """Reference: gather the matrix through an index matrix."""
@@ -90,27 +84,14 @@ class TestToeplitzOperator:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1200])
     def test_dense_matches_gather(self, n):
-        col = kernel_column(1.3, n)
-        dense = toeplitz_from_column(col)
-        assert np.array_equal(dense, self.gathered(col))
-        assert dense.flags.c_contiguous
-
-    def test_dense_allocates_only_the_result(self):
-        col = kernel_column(1.3, 1200)
-        tracemalloc.start()
-        try:
-            dense = toeplitz_from_column(col)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * dense.nbytes
+        # the dense reference the tests compare against is the gathered kernel
+        assert np.array_equal(dense_kernel(1.3, n - 1), self.gathered(kernel_column(1.3, n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1117, 1201])  # 2 * 1117: a large prime factor
     def test_matches_dense_product(self, n):
         rng = np.random.default_rng(n)
         for dalpha in (0.3, 2.5, 6.0):
-            col = kernel_column(dalpha, n)
-            dense, apply = toeplitz_from_column(col), toeplitz_operator(col)
+            dense, apply = dense_kernel(dalpha, n - 1), kernel_operator(dalpha, n)
             v = rng.standard_normal(n)
             w = v + 1j * rng.standard_normal(n)
             for x in (v / np.linalg.norm(v), w / np.linalg.norm(w)):
@@ -123,7 +104,7 @@ class TestToeplitzOperator:
         # a zero imaginary part skips its product; the real part is the
         # two-product path's, bit for bit
         rng = np.random.default_rng(n + 3)
-        apply = toeplitz_operator(kernel_column(2.5, n))
+        apply = kernel_operator(2.5, n)
         for real in (rng.standard_normal(n), rng.standard_normal((3, n))):
             both = apply(real) + 1j * apply(np.zeros_like(real))
             image = apply(real.astype(np.complex128))
@@ -135,7 +116,7 @@ class TestToeplitzOperator:
     def test_stacked_rows(self, n):
         # a (K, M) stack is multiplied row by row, real or complex
         rng = np.random.default_rng(n + 7)
-        apply = toeplitz_operator(kernel_column(1.7, n))
+        apply = kernel_operator(1.7, n)
         real = rng.standard_normal((5, n))
         for stack in (real, real + 1j * rng.standard_normal((5, n))):
             image = apply(stack)
@@ -168,10 +149,9 @@ class TestEigensystem:
         assert np.allclose(np.abs(res.eigenvectors[:, 0]), 1.0 / np.sqrt(2.0))
 
     def test_spectral_reconstruction(self):
-        k = build_kernel(2.6, 4)
         res = eigensystem(2.6, 4)
         rebuilt = res.eigenvectors @ np.diag(res.eigenvalues) @ res.eigenvectors.T
-        assert np.max(np.abs(rebuilt - k.entries)) < 1e-10
+        assert np.max(np.abs(rebuilt - dense_kernel(2.6, 4))) < 1e-10
 
     def test_residual_and_orthogonality_diagnostics(self):
         res = eigensystem(3.0, 16)
@@ -188,7 +168,7 @@ class TestEigensystem:
     def test_parity_solve_matches_dense(self, dk):
         n = dk + 1
         for dalpha in (0.3, 2.0, 6.2):
-            res, g = eigensystem(dalpha, dk), build_kernel(dalpha, dk).entries
+            res, g = eigensystem(dalpha, dk), dense_kernel(dalpha, dk)
             vals, vecs = res.eigenvalues, res.eigenvectors
             dense = np.sort(np.linalg.eigvalsh(g))[::-1]
             assert np.max(np.abs(vals - dense)) <= 1e-14
@@ -214,7 +194,7 @@ class TestKernelEigenvalues:
         checked = 0
         for xi in (0.05, 0.2, 0.5, 1.0, 2.0):
             dalpha = TWO_PI * xi / (dk + 1)
-            vals = np.sort(np.linalg.eigvalsh(build_kernel(dalpha, dk).entries))[::-1]
+            vals = np.sort(np.linalg.eigvalsh(dense_kernel(dalpha, dk)))[::-1]
             for degrees in range(4, 13):
                 bound = _tail_bound(dalpha, dk + 1, degrees)
                 if 1e-12 <= bound < 1.0:
@@ -269,10 +249,12 @@ class TestKernelEigenvalues:
             assert vals.tobytes() == dense.tobytes()
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            kernel_eigenvalues(-0.1, 10)
-        with pytest.raises(DomainError):
-            kernel_eigenvalues(1.0, True)
+        # both solvers take the kernel's domain: 0 <= dalpha <= 2*pi, integer dk >= 0
+        cases = ((-0.1, 10), (1.0, True), (-0.1, 1), (TWO_PI + 0.1, 1), (np.nan, 1), (1.0, -1), (1.0, 1.5))
+        for solve in (kernel_eigenvalues, leading_eigenpair):
+            for dalpha, dk in cases:
+                with pytest.raises(DomainError):
+                    solve(dalpha, dk)
 
     def test_north_star_dk(self):
         # no dense route reaches this size: the kernel alone would take 80 GB
@@ -324,6 +306,19 @@ class TestKernelEigenvalues:
         assert main(argv) == 3
         assert not out.exists()
 
+    def test_dense_route_memory(self):
+        # K = 96 at xi 16, past 2 sqrt(M): the dense route, whose half-blocks
+        # are built from a view of the mirrored column.  38 MiB measured; the
+        # 30.5 MiB M x M kernel on top of that would pass the bound
+        dk = 2000
+        tracemalloc.start()
+        try:
+            kernel_eigenvalues(TWO_PI * 16.0 / (dk + 1), dk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (dk + 1) ** 2 * 8
+
     def test_memory_at_north_star_dk(self):
         # G P^T and the Ritz residual are taken 8 rows at a time, so the peak
         # is the (K, M) basis and its image plus a few 8-row temporaries
@@ -366,7 +361,7 @@ class TestLeadingEigenpair:
     def test_matches_dense_eigensystem(self, dalpha):
         # dalpha == pi gives cos(2*pi*W) == 0: Slepian's T has a zero diagonal
         for dk in DK_GRID:
-            dense, g = eigensystem(dalpha, dk), build_kernel(dalpha, dk).entries
+            dense, g = eigensystem(dalpha, dk), dense_kernel(dalpha, dk)
             value, vector = leading_eigenpair(dalpha, dk)
             assert abs(value - dense.eigenvalues[0]) <= 1e-14
             assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
@@ -512,7 +507,7 @@ class TestLeadingEigenpair:
             if dk <= 1000:
                 top_value = eigensystem(dalpha, dk).eigenvalues[0]
             else:
-                g = build_kernel(dalpha, dk).entries
+                g = dense_kernel(dalpha, dk)
                 top_value = ref[:, 0] @ g @ ref[:, 0]
                 assert np.linalg.norm(g @ vector - value * vector) <= 1e-12
             assert abs(value - top_value) <= 1e-12

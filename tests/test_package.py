@@ -11,8 +11,10 @@ def test_exports_resolve():
     removed = {
         "AsymptoticSpectrum",
         "ComparisonReport",
+        "ConcentrationKernel",
         "SpectrumDiagnostics",
         "SpectrumResult",
+        "build_kernel",
         "compare_discrete_to_asymptotic",
         "eigensystem",
         "nystrom_spectrum",
@@ -20,6 +22,9 @@ def test_exports_resolve():
     }
     assert removed.isdisjoint(names)
     assert not any(hasattr(phasebound, name) for name in removed)
+    # the kernel's column is its only form: no dense matrix, one operator
+    for name in ("ConcentrationKernel", "build_kernel", "toeplitz_from_column", "toeplitz_operator"):
+        assert not hasattr(phasebound.kernel, name)
     assert "nystrom_eigenvalues" in names
     # the Nystrom rule is the continuum oracle; the limit module solves the
     # Legendre blocks and takes nothing from the dense parity split
@@ -44,5 +49,4 @@ def test_traced_benchmark_names():
 
     for name in ("write_curve_csv", "write_curve_json", "write_gnuplot_script"):
         assert callable(getattr(cli, name))
-    assert phasebound.build_kernel(1.0, 4).entries.shape == (5, 5)
     assert phasebound.power_iteration(1.0, 4).iterations >= 1
