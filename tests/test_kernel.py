@@ -72,6 +72,19 @@ class TestBuildKernel:
     def test_trace_identity(self):
         assert np.trace(dense_kernel(1.7, 12)) == pytest.approx(13 * 1.7 / TWO_PI, abs=1e-12)
 
+    # the kernel's domain, 0 <= dalpha <= 2*pi and integer dk >= 0, as both
+    # solvers that build it check it
+    @pytest.mark.parametrize("dalpha,dk", [(-0.1, 1), (TWO_PI + 0.1, 1), (np.nan, 1), (1.0, -1)])
+    def test_domain(self, dalpha, dk):
+        for solve in (kernel_eigenvalues, leading_eigenpair):
+            with pytest.raises(DomainError):
+                solve(dalpha, dk)
+
+    def test_non_integer_dk(self):
+        for solve in (kernel_eigenvalues, leading_eigenpair):
+            with pytest.raises(DomainError):
+                solve(1.0, 1.5)
+
 
 class TestToeplitzOperator:
     """``kernel_operator``, the one way the program multiplies by the kernel."""
@@ -249,8 +262,8 @@ class TestKernelEigenvalues:
             assert vals.tobytes() == dense.tobytes()
 
     def test_domain(self):
-        # both solvers take the kernel's domain: 0 <= dalpha <= 2*pi, integer dk >= 0
-        cases = ((-0.1, 10), (1.0, True), (-0.1, 1), (TWO_PI + 0.1, 1), (np.nan, 1), (1.0, -1), (1.0, 1.5))
+        # the cases TestBuildKernel does not cover: a wider support, a bool dk
+        cases = ((-0.1, 10), (1.0, True))
         for solve in (kernel_eigenvalues, leading_eigenpair):
             for dalpha, dk in cases:
                 with pytest.raises(DomainError):
