@@ -1,13 +1,14 @@
 """Command-line surface: bounds, curves, distributions and spectra.
 
 Files are written deterministically: identical invocations produce identical
-bytes, and every float is printed with 17 significant digits so it re-parses
-to the same double.  CSV output is RFC-4180 with LF line endings.  A table is
-formatted by one ``%`` call on a template that holds everything but its
-floats: ``spectrum`` joins its row indices into one, and ``distribution``
-builds one per ``--points`` value with the phi column already written in
-(``_density_template``, which keeps the last), so repeated calls on one grid
-format only the densities.
+bytes, and every float is printed as ``"%.17g" % v`` would print it, 17
+significant digits that re-parse to the same double.  CSV output is RFC-4180
+with LF line endings.  ``spectrum`` formats its table by one ``%`` call on a
+template that holds everything but its floats.  ``distribution``, whose
+16384-point tables the formatting dominates, writes them through
+``_format_g17``, a numpy formatter that gives the bytes of ``%.17g`` for a
+whole array, and keeps its phi column for the last ``--points`` value
+(``_phi_column``), so repeated calls on one grid format only the densities.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ _POWER_SKIP_NOTE = "comparison skipped: gap-degenerate or slow"
 _VERIFY_PRODUCTS = 64
 _CONFIG_KEYS = ("dk", "xi_start", "xi_stop", "xi_step", "format", "output", "x_axis")
 _CURVE_COLUMNS = ("xi", "dk", "dalpha", "lambda0", "cauchy_bound", "asym_error", "note")
+# ``distribution`` rows formatted at a time: the formatter and the row joins
+# take about 250 bytes a row, so a 2**20-point table peaks at about twice
+# its output rather than at six times it
+_DENSITY_ROWS = 2**16
 
 
 # 17 significant digits round-trip every float; lists are formatted with one
@@ -85,16 +90,132 @@ def _fmt_amplitudes(values: np.ndarray) -> str:
     return _fmt_join(values.tolist())
 
 
-@lru_cache(maxsize=1)
-def _density_template(points: int) -> str:
-    """The ``distribution`` table on ``points`` grid points, header included,
-    with every phi written in and a ``_FLOAT`` slot for each density.
+@lru_cache(maxsize=None)
+def _pow10(k: int) -> tuple[float, float]:
+    """``10**k`` as ``hi + lo``: the nearest double and the nearest double to
+    the remainder, from exact integer arithmetic (``int / int`` rounds
+    correctly)."""
+    if k >= 0:
+        exact = 10**k
+        hi = float(exact)
+        return hi, float(exact - int(hi))
+    den = 10**-k
+    hi = 1 / den
+    num, two = hi.as_integer_ratio()
+    return hi, (two - num * den) / (two * den)
 
-    The phi column depends on ``points`` alone and is half the table's
-    formatting, so it is formatted once per point count; one grid is kept.
+
+@lru_cache(maxsize=1)
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """Byte pairs ``"00" .. "99"`` and ``"0." .. "9."`` as uint16 cells,
+    exponent suffixes ``"e-300" .. "e+300"`` and the ``"0.000"`` prefixes."""
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    leads = np.frombuffer(b"".join(b"%d." % i for i in range(10)), np.uint16)
+    exps = np.array([b"e%+03d" % x for x in range(-300, 301)])
+    zeros = np.array([b"0.", b"0.0", b"0.00", b"0.000"])
+    return pairs, leads, exps, zeros
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of ``a`` into two 26-bit halves."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(mag: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``floor`` and fraction of ``mag * 10**(16 - x)`` in double-double.
+
+    Dekker's TwoProduct gives ``mag * hi`` exactly and ``mag * lo`` is
+    added to its error, so the fraction is within about 2**-46 of the exact
+    one; ``mag`` must lie in ``[1e-280, 1e280]``, where no split overflows.
     """
-    rows = f"{_FLOAT},%{_FLOAT}\n" * points
-    return "phi,density\n" + rows % tuple(_uniform_grid(points).tolist())
+    k = 16 - x
+    k0 = int(k.min(initial=0))
+    hi, lo = np.array([_pow10(s) for s in range(k0, int(k.max(initial=0)) + 1)])[k - k0].T
+    p = mag * hi
+    mh, ml = _split(mag)
+    hh, hl = _split(hi)
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl
+    whole = np.floor(p)
+    t = (p - whole) + (err + mag * lo)
+    carry = np.floor(t)
+    return whole.astype(np.int64) + carry.astype(np.int64), t - carry
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for every ``v`` of ``values``, as an ``S24`` array.
+
+    ``N``, the 17 significant digits, is ``mag * 10**(16 - X)`` rounded to
+    nearest, with ``X = floor(log10(mag))`` (``_scaled``); where ``N`` falls
+    outside ``[10**16, 10**17)``, ``X`` moves by one and ``N`` is computed
+    again, and an ``N`` that rounds up to ``10**17`` is ``10**16`` with
+    ``X + 1``, since ``%g`` picks its style from the rounded exponent.  The
+    digits come from a table of byte pairs; ``X < -4`` or ``X >= 17`` gives
+    ``d.ddde+XX``, ``X = 0`` gives ``d.ddd`` and ``-4 <= X <= -1`` gives
+    ``0.000ddd``, each with its trailing zeros stripped, and zero gives
+    ``0`` or ``-0``.  ``_fmt`` formats the rest: non-finite values, ``mag``
+    outside ``[1e-280, 1e280]``, fractions within 2**-24 of a tie, integer
+    parts of two or more digits (``1 <= X <= 16``) and ``X`` still off after
+    the one move.  ``values`` is 1-D.  numpy imports ``np.strings`` on first
+    use, so importing this module does not pay for it.
+    """
+    v = np.asarray(values, dtype=float)
+    mag = np.abs(v)
+    fast = np.flatnonzero((mag >= 1e-280) & (mag <= 1e280))
+    mag = mag[fast]
+    x = np.floor(np.log10(mag)).astype(np.int64)
+    n, frac = _scaled(mag, x)
+    low, high = n < 10**16, n >= 10**17
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        x[redo] += np.where(high[redo], 1, -1)
+        n[redo], frac[redo] = _scaled(mag[redo], x[redo])
+    n += frac > 0.5
+    top = n == 10**17
+    n[top] = 10**16
+    x[top] += 1
+    ok = (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) >= 2.0**-24) & ((x < 1) | (x > 16))
+    fast, n, x = fast[ok], n[ok], x[ok]
+
+    pairs, leads, exps, zeros = _g17_tables()
+    cells = np.empty((n.size, 9), np.uint16)  # "d." and 16 digits
+    for i in range(8, 0, -1):
+        n, r = np.divmod(n, 100)
+        cells[:, i] = pairs[r]
+    cells[:, 0] = leads[n]
+    body = np.strings.rstrip(cells.view("S18").ravel(), b"0.").astype("S24")
+    e = np.flatnonzero((x < -4) | (x > 16))
+    body[e] = np.strings.add(body[e], exps[x[e] + 300])
+    s = np.flatnonzero((x < 0) & (x >= -4))
+    digits = cells[s].view(np.uint8)
+    digits = np.concatenate((digits[:, :1], digits[:, 2:]), axis=1).view("S17").ravel()
+    body[s] = np.strings.add(zeros[-1 - x[s]], np.strings.rstrip(digits, b"0"))
+    neg = np.signbit(v[fast])
+    body[neg] = np.strings.add(b"-", body[neg])
+
+    out = np.empty(v.shape, "S24")
+    done = v == 0.0
+    out[done] = np.where(np.signbit(v[done]), b"-0", b"0")
+    out[fast] = body
+    done[fast] = True
+    slow = np.flatnonzero(~done)
+    # numpy truncates an S assignment silently; 24 bytes hold every %.17g
+    out[slow] = np.array([_fmt(f) for f in v[slow].tolist()], "S24")
+    return out
+
+
+@lru_cache(maxsize=1)
+def _phi_column(points: int) -> np.ndarray:
+    """The ``phi,`` cells of the ``distribution`` table on ``points`` grid
+    points, read-only.
+
+    The phi column depends on ``points`` alone, so it is formatted once per
+    point count; one grid is kept.
+    """
+    column = np.strings.add(_format_g17(_uniform_grid(points)), b",")
+    column.flags.writeable = False
+    return column
 
 
 def _cell(value) -> str:
@@ -336,8 +457,13 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         raise DomainError("points must be >= 1")
 
     dens = uniform_phase_density(state, args.points)[1]
+    phi = _phi_column(args.points)
+    lines = [b"phi,density"]
+    for i in range(0, args.points, _DENSITY_ROWS):
+        rows = np.strings.add(phi[i : i + _DENSITY_ROWS], _format_g17(dens[i : i + _DENSITY_ROWS]))
+        lines.append(b"\n".join(rows.tolist()))
     out = Path(args.output)
-    out.write_text(_density_template(args.points) % tuple(dens.tolist()), encoding="ascii")
+    out.write_bytes(b"\n".join([*lines, b""]))
 
     sidecar = {
         "kind": "distribution",

@@ -59,13 +59,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DomainError
+from .errors import ConvergenceFailureError, DomainError, InternalConsistencyError
 from .states import TWO_PI, FockState
 
 # an eigenvalue left out of a truncated solve, printed as 0, must lie below
 # this: past ``K`` Gram degrees here, past the Legendre truncation in
 # ``asymptotic``
 _TAIL_TOL = 1e-30
+_EPS = float(np.finfo(float).eps)
 
 
 def check_domain(delta_alpha: float, delta_k: int) -> None:
@@ -169,6 +170,19 @@ def parity_blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (even + even.T), 0.5 * (odd + odd.T)
 
 
+def _at_most_one(vals: np.ndarray, size: int) -> np.ndarray:
+    """``vals`` with every value in ``(1, 1 + size*eps]`` set to 1.
+
+    The kernel's spectrum lies in ``[0, 1]``; a saturated eigenvalue rounds
+    above 1 by a few eps (8 at dalpha 1, ``dk = 3000``), and a value further
+    above raises InternalConsistencyError.
+    """
+    top = float(np.max(vals))
+    if top > 1.0 + size * _EPS:
+        raise InternalConsistencyError(f"eigenvalue {top!r} above 1")
+    return np.minimum(vals, 1.0)
+
+
 def _dense_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
     """All eigenvalues of the kernel, descending: ``eigh`` of its even and
     odd half-blocks (``parity_blocks``).
@@ -252,6 +266,8 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
     at xi 0.5, ``dk = 255`` at xi 3 and ``dk = 2303`` at xi 16.  ``dk = 0``
     and ``dalpha`` 0 or ``2*pi`` give the exact values of the dense solve.
 
+    No value is above 1 (``_at_most_one``).
+
     Raises ConvergenceFailureError when a Ritz pair's residual exceeds
     ``1e-12 * (dk+1)`` or the rows' orthogonality defect exceeds 1e-12.
     """
@@ -263,7 +279,7 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
     while degrees**2 <= 4 * size and _tail_bound(delta_alpha, size, degrees) > _TAIL_TOL:
         degrees += 8
     if degrees**2 > 4 * size:
-        return _dense_eigenvalues(delta_alpha, delta_k)
+        return _at_most_one(_dense_eigenvalues(delta_alpha, delta_k), size)
 
     b = _gram_block(delta_alpha, size, degrees)[2]
     x = np.arange(size) - 0.5 * (size - 1)
@@ -299,7 +315,7 @@ def kernel_eigenvalues(delta_alpha: float, delta_k: int) -> np.ndarray:
         )
     vals = np.zeros(size)
     vals[:degrees] = theta.ravel()
-    return np.sort(vals)[::-1]
+    return _at_most_one(np.sort(vals)[::-1], size)
 
 
 def _slepian_block(delta_alpha: float, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -513,6 +529,8 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
     give the exact values of the dense solve.  Lower eigenvalues are a
     full-spectrum question, which ``kernel_eigenvalues`` answers.
 
+    The eigenvalue is never above 1 (``_at_most_one``).
+
     Raises ConvergenceFailureError when the residual target
     ``1e-12 * (dk+1)`` is missed.
     """
@@ -543,7 +561,7 @@ def leading_eigenpair(delta_alpha: float, delta_k: int) -> tuple[float, np.ndarr
         raise ConvergenceFailureError(
             f"top eigenpair residual {residual:.3e} exceeds {1e-12 * size:.3e}"
         )
-    return value, vector
+    return float(_at_most_one(value, size)), vector
 
 
 def least_upper_bound(delta_alpha: float, delta_k: int) -> tuple[float, FockState]:

@@ -12,12 +12,16 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis.strategies import floats, lists
 
 import phasebound
+import phasebound.cli as cli
 from phasebound.cli import (
     _fmt,
     _fmt_amplitudes,
     _fmt_join,
+    _format_g17,
     build_parser,
     main,
     parse_dk_list,
@@ -387,11 +391,12 @@ class TestDistribution:
         assert out.read_bytes() == self.reference_table(st, points)
 
     def test_grid_cache_carries_no_density(self, tmp_path, capsys):
-        # one cached grid: alternating states and point counts must each give
-        # their own bytes, never a table left from the call before
+        # one cached phi column: alternating states and point counts must
+        # each give their own bytes, never a table left from the call before
         states = [self.drawn_state(tmp_path, f"{tag}.json", 5, seed) for tag, seed in (("a", 1), ("b", 2))]
         out = tmp_path / "d.csv"
         tables = set()
+        cli._phi_column.cache_clear()
         for st, points in zip(states * 3, (16, 16, 7, 16, 7, 7)):
             argv = [
                 "distribution", "--state", str(st), "--dalpha", "1.0",
@@ -401,6 +406,25 @@ class TestDistribution:
             assert out.read_bytes() == self.reference_table(st, points)
             tables.add(out.read_bytes())
         assert len(tables) == 4
+        # 16, 16, 7, 16, 7, 7: the column is formatted again on every change
+        assert cli._phi_column.cache_info()[:2] == (2, 4)
+
+    def test_density_above_ten_and_zero_phi(self, tmp_path, capsys):
+        # 501 equal amplitudes peak at 501/(2 pi), about 80: those rows have
+        # an integer part of two digits, which the formatter leaves to `%`;
+        # an even point count puts phi exactly at 0
+        st = self.write_state(tmp_path, [1.0] * 501, [0.0] * 501)
+        out = tmp_path / "d.csv"
+        argv = [
+            "distribution", "--state", str(st), "--dalpha", "1.0",
+            "--points", "4096", "--output", str(out),
+        ]
+        assert main(argv) == 0
+        table = out.read_bytes()
+        assert table == self.reference_table(st, 4096)
+        rows = [row.split(b",") for row in table.splitlines()[1:]]
+        assert [row[0] for row in rows].count(b"0") == 1
+        assert sum(float(row[1]) > 10.0 for row in rows) >= 5
 
     def test_zero_state_exit_code(self, tmp_path, capsys):
         st = self.write_state(tmp_path, [0.0, 0.0], [0.0, 0.0])
@@ -451,6 +475,118 @@ class TestDistribution:
 
         doc = FockState([1.0, 2.0j], offset=1).to_json()
         jsonschema.validate(doc, schema("state.schema.json"))
+
+
+def g17_reference(values):
+    return [b"%.17g" % v for v in values]
+
+
+def powers_of_ten():
+    """Every float power of ten from 1e-323 to 1e308 and its two nearest
+    neighbours on each side, with both signs."""
+    out = []
+    for e in range(-323, 309):
+        p = float(f"1e{e}")
+        for direction in (0.0, math.inf):
+            q = p
+            for _ in range(2):
+                q = math.nextafter(q, direction)
+                out.append(q)
+        out.append(p)
+    return out + [-v for v in out]
+
+
+def binary_ties(exponent):
+    """Doubles ``m / 2**(17 - exponent)``, ``m`` odd, in
+    ``[10**exponent, 10**(exponent + 1))``: 18 significant digits ending in
+    5, exact halfway cases for 17 digits."""
+    scale = 2.0 ** (17 - exponent)
+    lo, hi = math.ceil(10.0**exponent * scale) | 1, math.floor(10.0 ** (exponent + 1) * scale)
+    return [m / scale for m in range(lo, hi, max(2, 2 * ((hi - lo) // 400)))]
+
+
+class TestFormatG17:
+    """``_format_g17`` against ``"%.17g" % v``, value by value."""
+
+    # one or more values of each class that the formatter hands to `_fmt`
+    FALLBACK_CLASSES = {
+        "non-finite": [math.nan, math.inf, -math.inf],
+        "magnitude outside [1e-280, 1e280]": [5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1.7976931348623157e308],
+        "fraction within 2**-24 of a tie": [1.0 + 2.0**-17, 43.0 / 2**22, 0.5 + 2.0**-18],
+        "integer part of two or more digits": [12.5, -99.0, 4096.0, 1e15 + 0.25],
+    }
+
+    def record_fallbacks(self, monkeypatch):
+        recorded = set()
+
+        def recording(value):
+            recorded.add(repr(value))
+            return _fmt(value)
+
+        monkeypatch.setattr(cli, "_fmt", recording)
+        return recorded
+
+    def test_seeded_values_match(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 2**64, 42500, dtype=np.uint64, endpoint=False)
+        log_uniform = np.exp(rng.uniform(-745.0, 709.0, 20000)) * rng.choice([-1.0, 1.0], 20000)
+        edges = np.concatenate([
+            rng.uniform(1e-6, 1e-3, 10000),  # the -5 / -4 exponent edge
+            rng.uniform(1e15, 1e18, 10000),  # the 16 / 17 exponent edge
+            rng.uniform(0.0, 10.0, 10000),
+        ])
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 9.99999999999999999e-5]
+        ties = [v for x in range(-12, 1) for v in binary_ties(x)]
+        quarters = [1e15 + k + 0.25 * j for k in range(100) for j in (1, 3)]  # ties too
+        classes = [v for members in self.FALLBACK_CLASSES.values() for v in members]
+        values = np.concatenate([
+            bits.view(np.float64), log_uniform, edges,
+            np.array(specials + ties + quarters + powers_of_ten() + classes),
+        ])
+        recorded = self.record_fallbacks(monkeypatch)
+        assert _format_g17(values).tolist() == g17_reference(values.tolist())
+        for name, members in self.FALLBACK_CLASSES.items():
+            assert {repr(v) for v in members} <= recorded, name
+        assert {repr(v) for v in ties} <= recorded
+        # doubles below a power of ten that round up to it: the fast path
+        # moves the exponent itself
+        for v in (1e-14, 1e-70, 1e98, 1e220):
+            assert repr(v) not in recorded
+            assert _format_g17(np.array([v])).tolist() == [repr(v).encode()]
+
+    def test_fast_path_takes_ordinary_values(self, monkeypatch):
+        # a density table's values, below 10: one in 2**23 is a near-tie
+        rng = np.random.default_rng(7)
+        values = np.concatenate([rng.uniform(0.0, 9.5, 20000), 10.0 ** rng.uniform(-20.0, 0.0, 20000)])
+        recorded = self.record_fallbacks(monkeypatch)
+        assert _format_g17(values).tolist() == g17_reference(values.tolist())
+        assert len(recorded) <= values.size // 1000
+
+    def test_exponent_still_off_falls_back(self, monkeypatch):
+        # one move of the exponent has always been enough on real inputs,
+        # so the check behind it is exercised by pushing the recomputed
+        # digits out of range
+        scaled = cli._scaled
+        calls = []
+
+        def second_off(mag, x):
+            n, frac = scaled(mag, x)
+            calls.append(mag.size)
+            return (n + 10**17 if len(calls) == 2 else n), frac
+
+        monkeypatch.setattr(cli, "_scaled", second_off)
+        values = np.array(powers_of_ten())
+        recorded = self.record_fallbacks(monkeypatch)
+        assert _format_g17(values).tolist() == g17_reference(values.tolist())
+        assert len(calls) == 2 and len(recorded) >= calls[1]
+
+    @given(lists(floats(), max_size=20))
+    def test_any_floats_match(self, values):
+        assert _format_g17(np.array(values, dtype=float)).tolist() == g17_reference(values)
+
+    def test_zero_and_empty(self):
+        assert _format_g17(np.array([0.0, -0.0])).tolist() == [b"0", b"-0"]
+        assert _format_g17(np.array([])).tolist() == []
 
 
 class TestSpectrum:
@@ -643,7 +779,8 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # the runtime needs numpy alone, though the tests' dense reference is
-    # scipy's: importing the CLI and running every command loads no scipy
+    # scipy's: importing the CLI and running every command loads no scipy;
+    # the import leaves numpy.strings to the formatter's first call
     src = str(Path(phasebound.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     state = tmp_path / "state.json"
@@ -662,6 +799,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "import json, sys\n"
         "import phasebound.cli\n"
         "assert 'scipy' not in sys.modules\n"
+        "assert 'numpy.strings' not in sys.modules\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert phasebound.cli.main(argv) == 0, argv\n"
         "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"

@@ -9,6 +9,7 @@ import pytest
 from phasebound import (
     ConvergenceFailureError,
     DomainError,
+    InternalConsistencyError,
     NumberWindow,
     PhaseWindow,
     cauchy_bound,
@@ -228,7 +229,8 @@ class TestKernelEigenvalues:
     @pytest.mark.parametrize("dk", [7, 62, 63, 254, 255, 1000, 2302, 2303])
     def test_route(self, dk, monkeypatch):
         # the Gram route runs exactly where K^2 <= 4M, and its tail is zeros;
-        # the dense route gives the reference's eigenvalues to the bit
+        # the dense route gives the reference's eigenvalues to the bit, those
+        # that round above 1 set to 1
         dense_eigenvalues = kernel_module._dense_eigenvalues
         dense = []
 
@@ -250,7 +252,7 @@ class TestKernelEigenvalues:
                 assert np.count_nonzero(vals) <= degrees
                 assert np.all(vals[degrees : dk + 1 - degrees] == 0.0)
             else:
-                assert np.array_equal(vals, eigensystem(dalpha, dk).eigenvalues)
+                assert np.array_equal(vals, np.minimum(eigensystem(dalpha, dk).eigenvalues, 1.0))
 
     @pytest.mark.parametrize("dk", [0, 1, 5, 40, 1000])
     def test_exact_cases(self, dk):
@@ -313,6 +315,26 @@ class TestKernelEigenvalues:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         dalpha = TWO_PI * 2.0 / 41
         with pytest.raises(ConvergenceFailureError, match="eigensolve residual"):
+            kernel_eigenvalues(dalpha, 40)
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--dalpha", repr(dalpha), "--dk", "40", "--output", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dk, xi", [(3000, 16.0), (400, 64.0)])
+    def test_saturated_values_at_most_one(self, dk, xi):
+        # the Gram route (dk 3000, xi 16) and the dense route (dk 400, xi 64)
+        # both gave values up to 1 + 4 eps here; they print as 1
+        vals = kernel_eigenvalues(TWO_PI * xi / (dk + 1), dk)
+        assert vals[0] == 1.0
+        assert np.all(np.diff(vals) <= 0.0)
+
+    def test_value_above_one_refused(self, monkeypatch, tmp_path):
+        # more than (dk+1) eps above 1 is not rounding: exit 3, no table
+        dense = kernel_module._dense_eigenvalues
+        monkeypatch.setattr(kernel_module, "_dense_eigenvalues", lambda *a: dense(*a) + 1e-12)
+        dalpha = TWO_PI * 16.0 / 41
+        with pytest.raises(InternalConsistencyError, match="above 1"):
             kernel_eigenvalues(dalpha, 40)
         out = tmp_path / "s.csv"
         argv = ["spectrum", "--dalpha", repr(dalpha), "--dk", "40", "--output", str(out)]
@@ -400,6 +422,21 @@ class TestLeadingEigenpair:
         value, vector = leading_eigenpair(TWO_PI, 5)
         assert value == 1.0
         assert np.array_equal(vector, np.eye(6)[0])
+
+    def test_saturated_value_is_one(self):
+        # the Rayleigh quotient reads 1.0000000000000004 here
+        assert leading_eigenpair(TWO_PI * 16.0 / 1001, 1000)[0] == 1.0
+
+    def test_value_above_one_refused(self, monkeypatch):
+        operator = kernel_module.kernel_operator
+
+        def scaled(dalpha, size):
+            apply = operator(dalpha, size)
+            return lambda v: apply(v) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(kernel_module, "kernel_operator", scaled)
+        with pytest.raises(InternalConsistencyError, match="above 1"):
+            leading_eigenpair(TWO_PI * 16.0 / 1001, 1000)
 
     def test_large_dk(self):
         # far past the dense path: (dk+1)^2 doubles would take 3.2 GB
